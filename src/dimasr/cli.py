@@ -15,8 +15,9 @@ import logging
 import sys
 from pathlib import Path
 
-from . import __version__, corpus, ensemble, metrics, trainer
-from .corpus import Instance, PairID, ParseError, VAScore, format_va, parse_va
+from . import __version__, corpus, encoding, ensemble, metrics, trainer
+from .corpus import (Instance, PairID, ParseError, VAScore, format_va,
+                     pair_sort_key, parse_va)
 from .encoding import EncoderSpec
 from .metrics import Prediction
 
@@ -29,7 +30,8 @@ MANIFEST_NAME = "manifest.json"
 # canonical file I/O
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
+                      allow_nan=False) + "\n"
 
 
 def write_json(path: Path, obj) -> None:
@@ -87,9 +89,14 @@ def write_predictions(path: Path, preds: list[Prediction]) -> None:
 
 def load_predictions(path: Path) -> list[Prediction]:
     rows = json.loads(path.read_text(encoding="utf-8"))
-    return [Prediction(id=row["ID"], aspect=row["Aspect"],
-                       va=parse_va(row["VA"]))
-            for row in rows]
+    preds = []
+    try:
+        for row in rows:
+            preds.append(Prediction(id=row["ID"], aspect=row["Aspect"],
+                                    va=parse_va(row["VA"])))
+    except ParseError as exc:
+        raise ParseError(f"{path}: record {len(preds)}: field 'VA': {exc}") from None
+    return preds
 
 
 def _pair_files(data_dir: Path, pairs_filter: set[str] | None) -> list[Path]:
@@ -113,14 +120,32 @@ def _load_pair_map(data_dir: Path,
 # ---------------------------------------------------------------------------
 # run configuration
 
+RUN_CONFIG_KEYS = frozenset(
+    {"encoder", "seed", "patience", "dropout_rate", "validation_fraction", "grid"})
+GRID_ENTRY_KEYS = frozenset(
+    {"batch_size", "learning_rate", "max_epochs", "bounded", "seed", "patience",
+     "dropout_rate"})
+
+
+def _reject_unknown_keys(obj: dict, known: frozenset, where: str) -> None:
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ParseError(f"{where}: unknown key {unknown[0]!r} "
+                         f"(known: {', '.join(sorted(known))})")
+
+
 def load_run_config(path: str | None, seed: int | None,
                     regime: str) -> tuple[EncoderSpec, list[trainer.TrainConfig], float]:
     """Resolve encoder spec, training grid and validation fraction.
 
     Without a config file the grid is the default seven-candidate grid; the
-    --seed flag overrides any configured seed.
+    --seed flag overrides any configured seed.  An unknown key, at the top
+    level or in a grid entry, raises ParseError (a ValueError) naming it.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+    _reject_unknown_keys(raw, RUN_CONFIG_KEYS, str(path))
+    for i, entry in enumerate(raw.get("grid", [])):
+        _reject_unknown_keys(entry, GRID_ENTRY_KEYS, f"{path}: grid entry {i}")
     base_seed = seed if seed is not None else raw.get("seed", 42)
     patience = raw.get("patience", 2)
     dropout = raw.get("dropout_rate", 0.1)
@@ -238,10 +263,16 @@ def cmd_predict(args) -> int:
     inputs = {f.name: sha256_file(f) for f in ckpt_files}
     inputs.update({f.name: sha256_file(f) for f in _pair_files(data_dir, pairs_filter)})
     outputs = []
-    for f in ckpt_files:
-        ckpt = trainer.Checkpoint.load(f)
-        for pair, instances in per_pair.items():
-            preds = ckpt.predict(instances)
+    checkpoints = [trainer.Checkpoint.load(f) for f in ckpt_files]
+    for pair, instances in per_pair.items():
+        # Features depend on the encoder spec only: encode each pair once
+        # per distinct spec and share them across checkpoints.
+        features = {}
+        for ckpt in checkpoints:
+            spec = ckpt.encoder_spec
+            if spec not in features:
+                features[spec] = encoding.instance_features(instances, spec)
+            preds = ckpt.predict(instances, features=features[spec])
             dest = out_dir / ckpt.id / f"{pair}.json"
             write_predictions(dest, preds)
             outputs.append(dest)
@@ -305,6 +336,13 @@ def cmd_ensemble(args) -> int:
         inputs[f"gold/{pair}.json"] = sha256_file(gold_dir / f"{pair}.json")
 
     pool = ensemble.CandidatePool(members)
+    no_preds = sorted(set(gold) - set(pool.pairs), key=pair_sort_key)
+    no_gold = sorted(set(pool.pairs) - set(gold), key=pair_sort_key)
+    if no_preds or no_gold:
+        print(f"error: pair sets differ: no predictions under {dev_root} for "
+              f"[{', '.join(map(str, no_preds))}], no gold under {gold_dir} "
+              f"for [{', '.join(map(str, no_gold))}]", file=sys.stderr)
+        return 1
     selection = ensemble.search(pool, gold, min_size=args.min_size,
                                 max_size=args.max_size)
 
@@ -462,7 +500,11 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

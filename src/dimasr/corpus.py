@@ -110,21 +110,29 @@ class VAScore:
 
 
 def parse_va(value) -> VAScore:
-    """Decode a VA wire value: "v#a" string or {Valence, Arousal} object."""
+    """Decode a VA wire value: "v#a" string or {Valence, Arousal} object.
+
+    Non-finite values (nan, inf) are rejected: they never compare below
+    anything, so they would silently win a minimum search downstream.
+    """
     if isinstance(value, str):
         head, sep, tail = value.partition("#")
         if not sep:
             raise ParseError(f"VA string lacks '#' separator: {value!r}")
         try:
-            return VAScore(float(head), float(tail))
+            valence, arousal = float(head), float(tail)
         except ValueError:
             raise ParseError(f"unparseable VA string: {value!r}") from None
-    if isinstance(value, dict):
+    elif isinstance(value, dict):
         try:
-            return VAScore(float(value["Valence"]), float(value["Arousal"]))
+            valence, arousal = float(value["Valence"]), float(value["Arousal"])
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"unparseable VA object: {value!r}") from None
-    raise ParseError(f"unsupported VA value: {value!r}")
+    else:
+        raise ParseError(f"unsupported VA value: {value!r}")
+    if not (math.isfinite(valence) and math.isfinite(arousal)):
+        raise ParseError(f"non-finite VA value: {value!r}")
+    return VAScore(valence, arousal)
 
 
 def format_va(score: VAScore, precision: int | None = None) -> str:

@@ -228,22 +228,21 @@ def init_projection(d: int) -> np.ndarray:
     return np.eye(d)
 
 
-def pair_features(pairs: list[tuple[str, str]], spec: EncoderSpec,
-                  backend_handle=None) -> np.ndarray:
+def pair_features(pairs: list[tuple[str, str]], spec: EncoderSpec) -> np.ndarray:
     """Frozen (n, d) base features for (aspect, text) pairs, either backend.
 
     This is the uniform contract the trainer consumes; any trainable
-    projection is applied downstream, not here.
+    projection is applied downstream, not here.  Callers encode each
+    instance set once per spec and share the result (`trainer.train_grid`,
+    `dimasr predict`), so the pretrained backend loads its model once per
+    set.
     """
     if spec.backend == BACKEND_TOY:
         inputs = [format_pair(aspect, text, spec) for aspect, text in pairs]
         return encode(inputs, spec, None)
-    if backend_handle is None:
-        from .hf_backend import PretrainedEncoder
-        backend_handle = PretrainedEncoder(spec)
-    return backend_handle.encode_pairs(pairs)
+    from .hf_backend import PretrainedEncoder
+    return PretrainedEncoder(spec).encode_pairs(pairs)
 
 
-def instance_features(instances, spec: EncoderSpec, backend_handle=None) -> np.ndarray:
-    return pair_features([(inst.aspect, inst.text) for inst in instances],
-                         spec, backend_handle)
+def instance_features(instances, spec: EncoderSpec) -> np.ndarray:
+    return pair_features([(inst.aspect, inst.text) for inst in instances], spec)

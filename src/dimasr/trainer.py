@@ -166,10 +166,13 @@ class Checkpoint:
     epoch_of_best: int
     history: list[dict] = field(default_factory=list)
 
-    def predict(self, instances: list[Instance],
-                backend_handle=None) -> list[metrics.Prediction]:
-        feats = encoding.instance_features(instances, self.encoder_spec, backend_handle)
-        e = encoding.apply_projection(feats, self.projection)
+    def predict(self, instances: list[Instance], *,
+                features: np.ndarray | None = None) -> list[metrics.Prediction]:
+        """Predict VA for `instances`; `features`, when given, are their
+        precomputed `encoding.instance_features` under this encoder spec."""
+        if features is None:
+            features = encoding.instance_features(instances, self.encoder_spec)
+        e = encoding.apply_projection(features, self.projection)
         out = regressor.predict(e, self.head)
         return [metrics.Prediction(id=inst.id, aspect=inst.aspect,
                                    va=VAScore(float(v), float(a)))
@@ -207,11 +210,19 @@ class Checkpoint:
                    epoch_of_best=header["epoch_of_best"])
 
 
-def _gold_array(instances: list[Instance], what: str) -> np.ndarray:
+Encoded = tuple[np.ndarray, np.ndarray]   # (features, gold VA), row-aligned
+
+
+def _encode_set(instances: list[Instance], encoder_spec: EncoderSpec,
+               what: str) -> Encoded:
+    """Features and gold VA of a nonempty, fully labelled instance set."""
+    if not instances:
+        raise TrainingError(f"empty {what} set")
     missing = [inst.key for inst in instances if inst.gold is None]
     if missing:
         raise TrainingError(f"{what} instance {missing[0]} has no gold VA")
-    return metrics.va_array([inst.gold for inst in instances])
+    golds = metrics.va_array([inst.gold for inst in instances])
+    return encoding.instance_features(instances, encoder_spec), golds
 
 
 def _validation_rmse(feats: np.ndarray, golds: np.ndarray,
@@ -224,24 +235,21 @@ def _validation_rmse(feats: np.ndarray, golds: np.ndarray,
 def train(train_set: list[Instance], validation_set: list[Instance],
           config: TrainConfig, encoder_spec: EncoderSpec, *,
           ckpt_id: str = "M1", val_metric_fn=None,
-          backend_handle=None) -> Checkpoint:
+          encoded: tuple[Encoded, Encoded | None] | None = None) -> Checkpoint:
     """Run one training job and return the best-epoch checkpoint.
 
     `val_metric_fn(epoch, model) -> float`, when given, replaces the
     validation RMSE computation (the early-stopping tests inject scripted
     sequences through it); `model` exposes {"head", "projection"}.
+    `encoded`, when given, holds `_encode_set` of the training and validation
+    sets, computed once by the caller (the validation part may be None when
+    `val_metric_fn` is given).
     """
-    if not train_set:
-        raise TrainingError("empty training set")
-    if val_metric_fn is None and not validation_set:
-        raise TrainingError("empty validation set")
-
-    feats = encoding.instance_features(train_set, encoder_spec, backend_handle)
-    golds = _gold_array(train_set, "training")
-    if val_metric_fn is None:
-        val_feats = encoding.instance_features(validation_set, encoder_spec,
-                                               backend_handle)
-        val_golds = _gold_array(validation_set, "validation")
+    if encoded is None:
+        encoded = (_encode_set(train_set, encoder_spec, "training"),
+                   None if val_metric_fn is not None
+                   else _encode_set(validation_set, encoder_spec, "validation"))
+    (feats, golds), val_encoded = encoded
 
     d = encoder_spec.hidden_size
     head = regressor.init_head(d, config.seed, config.dropout_rate, config.bounded)
@@ -255,7 +263,7 @@ def train(train_set: list[Instance], validation_set: list[Instance],
     stopper = EarlyStopping(patience=config.patience)
     best: dict[str, np.ndarray] = {k: v.copy() for k, v in tensors.items()}
     history: list[dict] = []
-    n = len(train_set)
+    n = len(feats)
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
@@ -277,7 +285,7 @@ def train(train_set: list[Instance], validation_set: list[Instance],
             val_rmse = float(val_metric_fn(
                 epoch, {"head": head, "projection": projection}))
         else:
-            val_rmse = _validation_rmse(val_feats, val_golds, head, projection)
+            val_rmse = _validation_rmse(*val_encoded, head, projection)
         history.append({"epoch": epoch, "train_mse": train_mse,
                         "val_rmse": val_rmse})
         logger.info("%s epoch %d  train_mse %.6f  val_rmse %.6f",
@@ -302,16 +310,24 @@ def train(train_set: list[Instance], validation_set: list[Instance],
 def train_grid(train_set: list[Instance], validation_set: list[Instance],
                configs: list[TrainConfig], encoder_spec: EncoderSpec,
                ids: list[str] | None = None) -> list[Checkpoint]:
-    """Train one checkpoint per config; ids default to M1..Mk in config order."""
+    """Train one checkpoint per config; ids default to M1..Mk in config order.
+
+    Features depend on the encoder spec and the instances only, so both sets
+    are encoded once, ahead of the first config, and shared by every run.
+    """
     if len(set(configs)) != len(configs):
         raise ValueError("grid configs must be distinct")
     if ids is None:
         ids = [f"M{i + 1}" for i in range(len(configs))]
     checkpoints = []
+    encoded = None
     for cid, config in zip(ids, configs):
         try:
+            if encoded is None:
+                encoded = (_encode_set(train_set, encoder_spec, "training"),
+                           _encode_set(validation_set, encoder_spec, "validation"))
             checkpoints.append(train(train_set, validation_set, config,
-                                     encoder_spec, ckpt_id=cid))
+                                     encoder_spec, ckpt_id=cid, encoded=encoded))
         except Exception as exc:
             raise TrainingError(f"{cid}: {exc}") from exc
     return checkpoints

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from dimasr import cli
+from dimasr import cli, encoding, trainer
 from dimasr.corpus import VA_MAX, VA_MIN, parse_va
-from synth import SYNTH_PAIRS, write_raw_dir
+from dimasr.encoding import EncoderSpec
+from synth import SYNTH_PAIRS, make_instances, write_raw_dir
 
 VA_2DP = re.compile(r"^-?\d+\.\d{2}#-?\d+\.\d{2}$")
 
@@ -168,8 +169,75 @@ class TestTrainStage:
         names = sorted(p.stem for p in out.glob("*.ckpt"))
         assert names == sorted(SYNTH_PAIRS)
 
+    @pytest.mark.parametrize("key,entry", [
+        ("patiense", {"patiense": 3}),
+        ("bogus", {"grid": [{"batch_size": 8, "learning_rate": 0.01,
+                             "max_epochs": 1, "bounded": True, "bogus": 1}]}),
+    ])
+    def test_unknown_config_key_rejected(self, pipeline, tmp_path, capsys,
+                                         key, entry):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({**RUN_CONFIG, **entry}),
+                               encoding="utf-8")
+        with pytest.raises(ValueError, match=key):
+            cli.load_run_config(str(config_path), None, "joint")
+        out = tmp_path / "ckpts"
+        assert run(["train", "--data", str(pipeline / "insts/train"),
+                    "--out", str(out), "--config", str(config_path)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+def count_feature_calls(monkeypatch) -> list[tuple]:
+    calls = []
+    real = encoding.instance_features
+
+    def counting(instances, spec):
+        calls.append((instances[0].pair, spec))
+        return real(instances, spec)
+
+    monkeypatch.setattr(encoding, "instance_features", counting)
+    return calls
+
 
 class TestPredictStage:
+    def test_each_pair_encoded_once_for_shared_spec(self, pipeline, tmp_path,
+                                                     monkeypatch):
+        calls = count_feature_calls(monkeypatch)
+        out = tmp_path / "preds"
+        assert run(["predict", "--ckpts", str(pipeline / "ckpts"),
+                    "--data", str(pipeline / "insts/dev"),
+                    "--out", str(out)]) == 0
+        assert len(calls) == len(SYNTH_PAIRS)
+        assert sorted(str(pair) for pair, _ in calls) == sorted(SYNTH_PAIRS)
+        assert tree_hashes(out) == tree_hashes(pipeline / "preds/dev")
+
+    def test_each_pair_encoded_once_per_distinct_spec(self, pipeline, tmp_path,
+                                                      monkeypatch):
+        ckpts = tmp_path / "ckpts"
+        ckpts.mkdir()
+        for mid in ("M1", "M2"):
+            (ckpts / f"{mid}.ckpt").write_bytes(
+                (pipeline / "ckpts" / f"{mid}.ckpt").read_bytes())
+        other = EncoderSpec(**{**RUN_CONFIG["encoder"], "seed": 1})
+        trainer.train(make_instances("aaa-res", 12, seed=0),
+                      make_instances("aaa-res", 4, seed=1),
+                      trainer.TrainConfig(batch_size=4, learning_rate=0.01,
+                                          max_epochs=1, bounded=True),
+                      other, ckpt_id="X1").save(ckpts / "X1.ckpt")
+        calls = count_feature_calls(monkeypatch)
+        out = tmp_path / "preds"
+        assert run(["predict", "--ckpts", str(ckpts),
+                    "--data", str(pipeline / "insts/dev"),
+                    "--out", str(out)]) == 0
+        assert len(calls) == 2 * len(SYNTH_PAIRS)
+        assert len(set(calls)) == len(calls)
+        for mid in ("M1", "M2"):
+            for pair in SYNTH_PAIRS:
+                rel = f"{mid}/{pair}.json"
+                assert ((out / rel).read_bytes()
+                        == (pipeline / "preds/dev" / rel).read_bytes())
+
     def test_prediction_files_per_checkpoint_and_pair(self, pipeline):
         for mid in (f"M{i}" for i in range(1, 8)):
             for pair in SYNTH_PAIRS:
@@ -231,14 +299,18 @@ class TestEnsembleStage:
             assert report["per_pair"][pair] == pytest.approx(
                 selection["per_pair"][pair]["dev_rmse"], abs=1e-12)
 
-    def test_two_member_pool_forced_selection(self, pipeline, tmp_path):
-        root = tmp_path / "two"
+    def copy_members(self, pipeline, root, pairs=SYNTH_PAIRS):
+        """Copy the dev predictions of M1 and M2 into a fresh member root."""
         for mid in ("M1", "M2"):
-            for pair in SYNTH_PAIRS:
-                src = pipeline / "preds/dev" / mid / f"{pair}.json"
+            for pair in pairs:
                 dest = root / mid / f"{pair}.json"
                 dest.parent.mkdir(parents=True, exist_ok=True)
-                dest.write_bytes(src.read_bytes())
+                dest.write_bytes(
+                    (pipeline / "preds/dev" / mid / f"{pair}.json").read_bytes())
+
+    def test_two_member_pool_forced_selection(self, pipeline, tmp_path):
+        root = tmp_path / "two"
+        self.copy_members(pipeline, root)
         out = tmp_path / "ens2"
         assert run(["ensemble", "--dev-preds", str(root),
                     "--dev-gold", str(pipeline / "insts/dev"),
@@ -246,6 +318,39 @@ class TestEnsembleStage:
         selection = json.loads((out / "selection.json").read_text())
         for pair in SYNTH_PAIRS:
             assert selection["per_pair"][pair]["subset"] == ["M1", "M2"]
+
+    def test_non_finite_member_prediction_fails(self, pipeline, tmp_path,
+                                                capsys):
+        root = tmp_path / "preds"
+        self.copy_members(pipeline, root)
+        poisoned = root / "M1" / f"{SYNTH_PAIRS[0]}.json"
+        rows = json.loads(poisoned.read_text())
+        rows[0]["VA"] = "nan#5.0"
+        poisoned.write_text(json.dumps(rows), encoding="utf-8")
+        out = tmp_path / "ens"
+        assert run(["ensemble", "--dev-preds", str(root),
+                    "--dev-gold", str(pipeline / "insts/dev"),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(poisoned) in err and "nan#5.0" in err
+        assert not out.exists()
+
+    def test_pair_coverage_checked_before_writing(self, pipeline, tmp_path,
+                                                  capsys):
+        root = tmp_path / "preds"
+        self.copy_members(pipeline, root, pairs=SYNTH_PAIRS[:1])
+        out = tmp_path / "ens"
+        assert run(["ensemble", "--dev-preds", str(root),
+                    "--dev-gold", str(pipeline / "insts/dev"),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert all(pair in err[0] for pair in SYNTH_PAIRS[1:])
+        assert not out.exists()
+
+    def test_canonical_json_rejects_nan(self):
+        with pytest.raises(ValueError):
+            cli.canonical_json({"dev_rmse": float("nan")})
 
 
 class TestSubmitStage:

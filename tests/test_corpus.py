@@ -74,6 +74,15 @@ class TestVAWire:
         with pytest.raises(ParseError, match="x#y"):
             parse_va("x#y")
 
+    @pytest.mark.parametrize("value", [
+        "nan#5.0", "5.0#inf", "-inf#5.0", "NaN#NaN",
+        {"Valence": float("nan"), "Arousal": 5.0},
+        {"Valence": 5.0, "Arousal": "inf"},
+    ])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_va(value)
+
 
 class TestParseFile:
     def write(self, tmp_path, rows, name="zho-res.json", jsonl=False):

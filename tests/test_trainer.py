@@ -242,6 +242,36 @@ class TestGrid:
         ckpts[1].save(b)
         assert a.read_bytes() != b.read_bytes()
 
+    def test_grid_encodes_each_set_once(self, monkeypatch):
+        calls = []
+        real = encoding.instance_features
+
+        def counting(instances, spec):
+            calls.append(len(instances))
+            return real(instances, spec)
+
+        monkeypatch.setattr(encoding, "instance_features", counting)
+        train_set = make_instances("zho-res", 16, seed=0)
+        val_set = make_instances("zho-res", 4, seed=1)
+        train_grid(train_set, val_set,
+                   [config(max_epochs=2, seed=s) for s in (1, 2, 3)], SPEC)
+        assert calls == [16, 4]
+
+    def test_grid_checkpoints_match_standalone_runs(self, tmp_path):
+        train_set = make_instances("zho-res", 16, seed=0)
+        val_set = make_instances("zho-res", 4, seed=1)
+        configs = [config(max_epochs=3, seed=1),
+                   config(max_epochs=2, bounded=False, seed=2),
+                   config(batch_size=4, learning_rate=0.01, seed=3)]
+        grid = train_grid(train_set, val_set, configs, SPEC)
+        for ckpt, cfg in zip(grid, configs):
+            alone = train(train_set, val_set, cfg, SPEC, ckpt_id=ckpt.id)
+            ckpt.save(tmp_path / "grid.ckpt")
+            alone.save(tmp_path / "alone.ckpt")
+            assert ((tmp_path / "grid.ckpt").read_bytes()
+                    == (tmp_path / "alone.ckpt").read_bytes())
+            assert ckpt.history == alone.history
+
     def test_errors_carry_config_id(self):
         bad = make_instances("zho-res", 4, seed=9, with_gold=False)
         val = make_instances("zho-res", 4, seed=1)
@@ -284,6 +314,13 @@ class TestSeparate:
 
 
 class TestCheckpointObject:
+    def test_precomputed_features_give_same_predictions(self):
+        train_set = make_instances("zho-res", 16, seed=0)
+        val_set = make_instances("zho-res", 4, seed=1)
+        ckpt = train(train_set, val_set, config(max_epochs=2), SPEC)
+        feats = encoding.instance_features(val_set, SPEC)
+        assert ckpt.predict(val_set, features=feats) == ckpt.predict(val_set)
+
     def test_save_load_predict_identical(self, tmp_path):
         train_set = make_instances("zho-res", 16, seed=0)
         val_set = make_instances("zho-res", 4, seed=1)
