@@ -73,8 +73,16 @@ def instance_rows(instances: list[Instance]) -> list[dict]:
     return rows
 
 
+def _file_pair(path: Path) -> PairID:
+    """The pair a per-pair file is named after; any other name is a ParseError."""
+    try:
+        return PairID.parse(path.stem)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def load_instances(path: Path) -> list[Instance]:
-    pair = PairID.parse(path.stem)
+    pair = _file_pair(path)
     rows = json.loads(path.read_text(encoding="utf-8"))
     return [Instance(id=row["ID"], text=row["Text"], aspect=row["Aspect"],
                      gold=parse_va(row["VA"]) if "VA" in row else None,
@@ -111,7 +119,7 @@ def _load_pair_map(data_dir: Path,
                    pairs_filter: set[str] | None = None) -> dict[PairID, list[Instance]]:
     out = {}
     for f in _pair_files(data_dir, pairs_filter):
-        out[PairID.parse(f.stem)] = load_instances(f)
+        out[_file_pair(f)] = load_instances(f)
     if not out:
         raise FileNotFoundError(f"no per-pair instance files under {data_dir}")
     return out
@@ -187,8 +195,8 @@ def cmd_preprocess(args) -> int:
     inputs, outputs = {}, []
     for f in files:
         inputs[f.name] = sha256_file(f)
-        pair = PairID.parse(f.stem)
         try:
+            pair = _file_pair(f)
             records = corpus.parse_quadruplet_file(f, pair)
         except ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -310,7 +318,7 @@ def cmd_evaluate(args) -> int:
 def _load_member(root: Path, member_id: str) -> dict[PairID, list[Prediction]]:
     out = {}
     for f in sorted((root / member_id).glob("*.json")):
-        out[PairID.parse(f.stem)] = load_predictions(f)
+        out[_file_pair(f)] = load_predictions(f)
     return out
 
 
@@ -343,8 +351,22 @@ def cmd_ensemble(args) -> int:
               f"[{', '.join(map(str, no_preds))}], no gold under {gold_dir} "
               f"for [{', '.join(map(str, no_gold))}]", file=sys.stderr)
         return 1
+    if test_root is not None:
+        gaps = []
+        for m in members:
+            missing = sorted(set(pool.pairs) - set(m.test), key=pair_sort_key)
+            if missing:
+                gaps.append(f"{m.id} [{', '.join(map(str, missing))}]")
+        if gaps:
+            print(f"error: no test predictions under {test_root} for "
+                  f"{'; '.join(gaps)}", file=sys.stderr)
+            return 1
     selection = ensemble.search(pool, gold, min_size=args.min_size,
                                 max_size=args.max_size)
+    combined = {"dev": ensemble.apply(selection, pool, "dev")}
+    if test_root is not None:
+        combined["test"] = ensemble.apply(selection, pool, "test")
+    dev_report = metrics.evaluate(combined["dev"], gold)
 
     outputs = []
     sel_path = out_dir / "selection.json"
@@ -356,24 +378,19 @@ def cmd_ensemble(args) -> int:
                            encoding="utf-8")
     outputs.append(matrix_path)
 
-    for split, root in (("dev", out_dir / "dev"), ("test", out_dir / "test")):
-        if split == "test" and test_root is None:
-            continue
-        combined = ensemble.apply(selection, pool, split)
-        for pair, preds in combined.items():
-            dest = root / f"{pair}.json"
+    for split, by_pair in combined.items():
+        for pair, preds in by_pair.items():
+            dest = out_dir / split / f"{pair}.json"
             write_predictions(dest, preds)
             outputs.append(dest)
 
-    dev_report = metrics.evaluate(ensemble.apply(selection, pool, "dev"), gold)
     report_path = out_dir / "dev_report.json"
     write_json(report_path, dev_report.as_dict())
     outputs.append(report_path)
 
     if test_root is not None:
         sub_dir = out_dir / "submission"
-        combined = ensemble.apply(selection, pool, "test")
-        for pair, preds in combined.items():
+        for pair, preds in combined["test"].items():
             dest = sub_dir / f"{pair}.json"
             write_submission(dest, preds, clamp=args.clamp,
                              precision=args.precision)

@@ -7,6 +7,14 @@ predictions, and the minimizer wins; ties go to the smaller subset, then to
 the lexicographically smallest id tuple, which makes the argmin unique and
 the search order-independent.  Test predictions play no role in the search
 and are only read when a selection is applied.
+
+The search stays exact and exhaustive but does not average every subset.
+With e_m member m's (n, 2) dev error and G_ij = sum(e_i * e_j) the pair's
+Gram matrix, the MSE of subset S's average is sum_{i,j in S} G_ij / (n |S|^2),
+so one matrix product scores every subset at once.  Gram scores round
+differently from direct averaging, so every subset within a tolerance of the
+Gram minimum is re-scored directly, and the reported RMSE and the argmin come
+from that direct path alone.
 """
 
 from __future__ import annotations
@@ -187,6 +195,12 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list],
     max_size = min(max_size, len(pool))
 
     members = sorted(pool.members, key=lambda m: m.id)
+    subsets = [subset for k in range(min_size, max_size + 1)
+               for subset in combinations(range(len(members)), k)]
+    membership = np.zeros((len(subsets), len(members)))
+    for row, subset in enumerate(subsets):
+        membership[row, list(subset)] = 1.0
+    sizes = membership.sum(axis=1)
     per_pair: dict[PairID, SelectionEntry] = {}
     for pair in pool.pairs:
         if pair not in dev_gold:
@@ -202,6 +216,8 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list],
         keys = [p.key for p in members[0].predictions(pair, "dev")]
         if set(keys) != set(gold_keyed):
             raise ValueError(f"dev gold is misaligned with the pool on pair {pair}")
+        if not keys:
+            raise ValueError(f"no dev instances for pair {pair}")
         gold_arr = va_array([gold_keyed[k] for k in keys])
         stacks = []
         for m in members:
@@ -209,19 +225,23 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list],
             stacks.append(va_array([keyed[k] for k in keys]))
         tensor = np.stack(stacks)   # (n_members, n_instances, 2)
 
-        best: tuple | None = None
-        n_scored = 0
-        for k in range(min_size, max_size + 1):
-            for subset in combinations(range(len(members)), k):
-                avg = tensor[list(subset)].mean(axis=0)
-                score = rmse_va(avg, gold_arr)
-                ids = tuple(members[i].id for i in subset)
-                candidate = (score, len(ids), ids)
-                n_scored += 1
-                if best is None or candidate < best:
-                    best = candidate
+        errors = (tensor - gold_arr).reshape(len(members), -1)
+        gram = errors @ errors.T
+        n = len(keys)
+        mse = (np.einsum("sm,mk,sk->s", membership, gram, membership)
+               / (n * sizes ** 2))
+        # Gram scores round at the scale of the errors, direct averaging at
+        # the scale of the values themselves; the tolerance covers both with
+        # a wide margin, so the direct-path argmin is always re-scored.
+        worst = np.sqrt(gram.diagonal().max() / n)
+        scale = max(np.abs(tensor).max(), np.abs(gold_arr).max())
+        tol = 1e-9 * worst * (worst + scale)
+        best = min(
+            (rmse_va(tensor[list(subsets[i])].mean(axis=0), gold_arr),
+             len(subsets[i]), tuple(members[j].id for j in subsets[i]))
+            for i in np.flatnonzero(mse <= mse.min() + tol))
         per_pair[pair] = SelectionEntry(subset=best[2], dev_rmse=best[0],
-                                        n_scored=n_scored)
+                                        n_scored=len(subsets))
     return EnsembleSelection(per_pair=per_pair, member_ids=pool.ids)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import shutil
 import time
 from pathlib import Path
 
@@ -254,6 +255,20 @@ class TestPredictStage:
             assert {(p["ID"], p["Aspect"]) for p in preds} == \
                    {(i["ID"], i["Aspect"]) for i in instances}
 
+    def test_stray_file_in_data_dir_names_path(self, pipeline, tmp_path,
+                                               capsys):
+        data = tmp_path / "insts"
+        shutil.copytree(pipeline / "insts/dev", data)
+        stray = data / "notes.json"
+        stray.write_text("[]", encoding="utf-8")
+        out = tmp_path / "preds"
+        assert run(["predict", "--ckpts", str(pipeline / "ckpts"),
+                    "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(stray) in err[0]
+        assert not out.exists()
+
 
 class TestEvaluateStage:
     def test_perfect_predictions_score_zero(self, pipeline, tmp_path):
@@ -346,6 +361,41 @@ class TestEnsembleStage:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert all(pair in err[0] for pair in SYNTH_PAIRS[1:])
+        assert not out.exists()
+
+    def test_stray_file_in_member_dir_names_path(self, pipeline, tmp_path,
+                                                 capsys):
+        root = tmp_path / "preds"
+        self.copy_members(pipeline, root)
+        stray = root / "M1" / "notes.json"
+        stray.write_text("[]", encoding="utf-8")
+        out = tmp_path / "ens"
+        assert run(["ensemble", "--dev-preds", str(root),
+                    "--dev-gold", str(pipeline / "insts/dev"),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(stray) in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("selected", [True, False])
+    def test_test_coverage_checked_before_writing(self, pipeline, tmp_path,
+                                                  capsys, selected):
+        selection = json.loads((pipeline / "ens/selection.json").read_text())
+        pair, member = next(
+            (pair, mid) for pair in SYNTH_PAIRS for mid in selection["member_ids"]
+            if (mid in selection["per_pair"][pair]["subset"]) == selected)
+        preds = tmp_path / "preds"
+        shutil.copytree(pipeline / "preds", preds)
+        (preds / "test" / member / f"{pair}.json").unlink()
+        out = tmp_path / "ens"
+        assert run(["ensemble", "--dev-preds", str(preds / "dev"),
+                    "--test-preds", str(preds / "test"),
+                    "--dev-gold", str(pipeline / "insts/dev"),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{member} [{pair}]" in err[0]
         assert not out.exists()
 
     def test_canonical_json_rejects_nan(self):

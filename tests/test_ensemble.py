@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimasr.corpus import PairID, VAScore
 from dimasr.ensemble import (
@@ -216,6 +218,21 @@ class TestSearch:
             assert entry.dev_rmse == pytest.approx(best[0], abs=1e-12)
             assert entry.n_scored == n_scored
 
+    def test_errors_far_below_value_scale_match_brute_force(self):
+        # Direct averaging rounds at the scale of the VA values (~5), here a
+        # trillion times the errors; a tolerance sized to the errors alone
+        # misses this pool's direct-path argmin.
+        pair = PAIRS[0]
+        instances = make_instances(str(pair), 6, seed=0)
+        rng = np.random.default_rng(154)
+        members = [Member(id=f"M{i + 1}", dev={pair: preds_from(
+                       instances, rng.normal(0, 1e-11, (6, 2)))})
+                   for i in range(8)]
+        pool, gold = CandidatePool(members), {pair: instances}
+        entry = search(pool, gold, min_size=1).per_pair[pair]
+        best, _ = brute_force_best(pool, gold, pair, 1, 8)
+        assert (entry.subset, entry.dev_rmse) == (best[2], best[0])
+
     def test_selected_subset_beats_every_other(self):
         pool, gold = make_pool(5)
         selection = search(pool, gold)
@@ -287,6 +304,50 @@ class TestSearch:
         RecordingDict.reads = 0
         search(pool, {p: dev for p, (dev, _) in gold.items()})
         assert RecordingDict.reads == 0
+
+
+@st.composite
+def tie_prone_pools(draw):
+    """Pools of 2..8 members whose dev errors are fresh draws, exact
+    duplicates of an earlier member (exact ties) or its negation (pairs that
+    cancel to an RMSE of about 0), listed in a drawn order."""
+    n = draw(st.integers(1, 6))
+    size = draw(st.integers(2, 8))
+    entries = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    offsets = []
+    for _ in range(size):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "mirror"]))
+        if kind == "fresh" or not offsets:
+            offsets.append(np.array(
+                draw(st.lists(entries, min_size=2 * n, max_size=2 * n))
+            ).reshape(n, 2))
+        else:
+            source = offsets[draw(st.integers(0, len(offsets) - 1))]
+            offsets.append(source if kind == "duplicate" else -source)
+    pair = PAIRS[0]
+    instances = make_instances(str(pair), n, seed=draw(st.integers(0, 3)))
+    ids = draw(st.permutations([f"M{i + 1}" for i in range(size)]))
+    members = [Member(id=mid, dev={pair: preds_from(instances, off)})
+               for mid, off in zip(ids, offsets)]
+    return CandidatePool(members), {pair: instances}
+
+
+class TestSearchProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=tie_prone_pools(), min_size=st.integers(1, 3))
+    def test_equals_brute_force_and_apply(self, drawn, min_size):
+        pool, gold = drawn
+        pair = PAIRS[0]
+        min_size = min(min_size, len(pool))
+        selection = search(pool, gold, min_size=min_size)
+        entry = selection.per_pair[pair]
+        best, n_scored = brute_force_best(pool, gold, pair, min_size, len(pool))
+        assert entry.subset == best[2]
+        assert entry.n_scored == n_scored
+        assert abs(entry.dev_rmse - best[0]) <= 1e-12
+        keyed = {p.key: p.va for p in apply_selection(selection, pool, "dev")[pair]}
+        assert entry.dev_rmse == rmse_va([keyed[i.key] for i in gold[pair]],
+                                         [i.gold for i in gold[pair]])
 
 
 class TestApply:
