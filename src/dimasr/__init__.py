@@ -9,18 +9,3 @@ CLI (cli).
 """
 
 __version__ = "0.1.0"
-
-from .corpus import (  # noqa: F401
-    Instance,
-    PairID,
-    VAScore,
-    parse_quadruplet_file,
-    pool_pairs,
-    preprocess,
-    split_train_validation,
-)
-from .encoding import EncoderSpec, format_pair, toy_encode  # noqa: F401
-from .ensemble import CandidatePool, EnsembleSelection, average_subset, search  # noqa: F401
-from .metrics import EvalReport, Prediction, evaluate, rmse_va  # noqa: F401
-from .regressor import HeadParams, bound, forward, mse_loss  # noqa: F401
-from .trainer import Checkpoint, TrainConfig, default_grid, train, train_grid  # noqa: F401

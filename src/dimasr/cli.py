@@ -4,6 +4,10 @@ Stages communicate only through files, so each is independently runnable and
 a rerun on unchanged inputs is byte-identical.  Every stage writes a manifest
 listing its inputs and outputs with content hashes; the run id is derived
 from those hashes, never from wall-clock time.
+
+Only corpus is imported at module level: the numpy-backed layers (encoding,
+trainer, metrics, ensemble) are imported by the stages that run them, so
+preprocess and submit start without loading numpy.
 """
 
 from __future__ import annotations
@@ -14,12 +18,14 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, corpus, encoding, ensemble, metrics, trainer
-from .corpus import (Instance, PairID, ParseError, VAScore, format_va,
-                     pair_sort_key, parse_va)
-from .encoding import EncoderSpec
-from .metrics import Prediction
+from . import __version__, corpus
+from .corpus import (REGIMES, Instance, PairID, ParseError, Prediction, VAScore,
+                     format_va, pair_sort_key, parse_va)
+
+if TYPE_CHECKING:
+    from . import encoding, ensemble, trainer
 
 logger = logging.getLogger(__name__)
 
@@ -142,14 +148,15 @@ def _reject_unknown_keys(obj: dict, known: frozenset, where: str) -> None:
                          f"(known: {', '.join(sorted(known))})")
 
 
-def load_run_config(path: str | None, seed: int | None,
-                    regime: str) -> tuple[EncoderSpec, list[trainer.TrainConfig], float]:
+def load_run_config(path: str | None, seed: int | None, regime: str
+                    ) -> tuple[encoding.EncoderSpec, list[trainer.TrainConfig], float]:
     """Resolve encoder spec, training grid and validation fraction.
 
     Without a config file the grid is the default seven-candidate grid; the
     --seed flag overrides any configured seed.  An unknown key, at the top
     level or in a grid entry, raises ParseError (a ValueError) naming it.
     """
+    from . import encoding, trainer
     raw = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
     _reject_unknown_keys(raw, RUN_CONFIG_KEYS, str(path))
     for i, entry in enumerate(raw.get("grid", [])):
@@ -158,7 +165,8 @@ def load_run_config(path: str | None, seed: int | None,
     patience = raw.get("patience", 2)
     dropout = raw.get("dropout_rate", 0.1)
     fraction = raw.get("validation_fraction", 0.10)
-    spec = EncoderSpec.from_dict(raw["encoder"]) if "encoder" in raw else EncoderSpec()
+    spec = (encoding.EncoderSpec.from_dict(raw["encoder"]) if "encoder" in raw
+            else encoding.EncoderSpec())
     if "grid" in raw:
         grid = [trainer.TrainConfig(
                     batch_size=entry["batch_size"],
@@ -222,6 +230,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import trainer
     data_dir, out_dir = Path(args.data), Path(args.out)
     spec, grid, fraction = load_run_config(args.config, args.seed, args.regime)
     pairs_filter = set(args.pairs.split(",")) if args.pairs else None
@@ -260,6 +269,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from . import encoding, trainer
     ckpt_dir, data_dir, out_dir = Path(args.ckpts), Path(args.data), Path(args.out)
     ckpt_files = sorted(ckpt_dir.glob("*.ckpt"))
     if not ckpt_files:
@@ -291,6 +301,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import metrics
     pred_dir, gold_dir, out_dir = Path(args.pred), Path(args.gold), Path(args.out)
     gold = _load_pair_map(gold_dir)
     preds = {}
@@ -322,7 +333,44 @@ def _load_member(root: Path, member_id: str) -> dict[PairID, list[Prediction]]:
     return out
 
 
+def _key_mismatch(preds: list[Prediction], ref: list[tuple[str, str]]) -> str | None:
+    """How preds fail to hold each (ID, Aspect) key of ref exactly once."""
+    seen = set()
+    for p in preds:
+        if p.key in seen:
+            return f"duplicate key {p.key}"
+        seen.add(p.key)
+    missing = next((k for k in ref if k not in seen), None)
+    if missing is not None:
+        return f"first missing key {missing}"
+    ref_keys = set(ref)
+    extra = next((p.key for p in preds if p.key not in ref_keys), None)
+    return None if extra is None else f"first extra key {extra}"
+
+
+def _misaligned_file(members: list[ensemble.Member],
+                     gold: dict[PairID, list[Instance]], dev_root: Path,
+                     gold_dir: Path, test_root: Path | None) -> str | None:
+    """The first member file whose keys differ from its reference, described
+    in one line: the gold file on dev, the first member's file on test."""
+    pairs = sorted(gold, key=pair_sort_key)
+    refs = [("dev", dev_root, pair, gold_dir / f"{pair}.json",
+             [inst.key for inst in gold[pair]]) for pair in pairs]
+    if test_root is not None:
+        first = members[0]
+        refs += [("test", test_root, pair, test_root / first.id / f"{pair}.json",
+                  [p.key for p in first.test[pair]]) for pair in pairs]
+    for split, root, pair, ref_path, ref in refs:
+        for m in members:
+            problem = _key_mismatch(m.predictions(pair, split), ref)
+            if problem:
+                return (f"{root / m.id / f'{pair}.json'}: (ID, Aspect) keys "
+                        f"differ from {ref_path}: {problem}")
+    return None
+
+
 def cmd_ensemble(args) -> int:
+    from . import ensemble, metrics
     dev_root, gold_dir, out_dir = Path(args.dev_preds), Path(args.dev_gold), Path(args.out)
     test_root = Path(args.test_preds) if args.test_preds else None
     member_ids = sorted(p.name for p in dev_root.iterdir() if p.is_dir())
@@ -343,9 +391,10 @@ def cmd_ensemble(args) -> int:
     for pair in gold:
         inputs[f"gold/{pair}.json"] = sha256_file(gold_dir / f"{pair}.json")
 
-    pool = ensemble.CandidatePool(members)
-    no_preds = sorted(set(gold) - set(pool.pairs), key=pair_sort_key)
-    no_gold = sorted(set(pool.pairs) - set(gold), key=pair_sort_key)
+    no_preds = sorted({p for m in members for p in gold if p not in m.dev},
+                      key=pair_sort_key)
+    no_gold = sorted({p for m in members for p in m.dev if p not in gold},
+                     key=pair_sort_key)
     if no_preds or no_gold:
         print(f"error: pair sets differ: no predictions under {dev_root} for "
               f"[{', '.join(map(str, no_preds))}], no gold under {gold_dir} "
@@ -354,13 +403,18 @@ def cmd_ensemble(args) -> int:
     if test_root is not None:
         gaps = []
         for m in members:
-            missing = sorted(set(pool.pairs) - set(m.test), key=pair_sort_key)
+            missing = sorted(set(gold) - set(m.test), key=pair_sort_key)
             if missing:
                 gaps.append(f"{m.id} [{', '.join(map(str, missing))}]")
         if gaps:
             print(f"error: no test predictions under {test_root} for "
                   f"{'; '.join(gaps)}", file=sys.stderr)
             return 1
+    misaligned = _misaligned_file(members, gold, dev_root, gold_dir, test_root)
+    if misaligned:
+        print(f"error: {misaligned}", file=sys.stderr)
+        return 1
+    pool = ensemble.CandidatePool(members)
     selection = ensemble.search(pool, gold, min_size=args.min_size,
                                 max_size=args.max_size)
     combined = {"dev": ensemble.apply(selection, pool, "dev")}
@@ -470,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dir of per-pair instance files")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON run config (encoder, grid, seed, ...)")
-    p.add_argument("--regime", choices=trainer.REGIMES, default="joint")
+    p.add_argument("--regime", choices=REGIMES, default="joint")
     p.add_argument("--seed", type=int, help="override the configured seed")
     p.add_argument("--pairs")
     p.set_defaults(func=cmd_train)

@@ -177,6 +177,19 @@ class Instance:
         return (self.id, self.aspect)
 
 
+@dataclass(frozen=True)
+class Prediction:
+    """A predicted VA score keyed by (record id, aspect) for alignment."""
+
+    id: str
+    aspect: str
+    va: VAScore
+
+    @property
+    def key(self) -> tuple[str, str]:
+        return (self.id, self.aspect)
+
+
 @dataclass
 class DatasetSplit:
     train: list[Instance] = field(default_factory=list)
@@ -352,6 +365,10 @@ def split_train_validation(instances: list[Instance], fraction: float = 0.10,
     train = [inst for inst in instances if inst.id not in held_out]
     validation = [inst for inst in instances if inst.id in held_out]
     return train, validation
+
+
+# Training regimes: one joint model over the pooled pairs, or one per pair.
+REGIMES = ("joint", "separate")
 
 
 def pool_pairs(per_pair: dict[PairID, list[Instance]]) -> list[Instance]:

@@ -6,20 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Instance, PairID, VAScore, pair_sort_key
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """A predicted VA score keyed by (record id, aspect) for alignment."""
-
-    id: str
-    aspect: str
-    va: VAScore
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.id, self.aspect)
+from .corpus import Instance, PairID, Prediction, VAScore, pair_sort_key
 
 
 def va_array(values) -> np.ndarray:

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import ParseError
+
 BOUND_LO = 1.0
 BOUND_HI = 9.0
 BOUND_SPAN = 8.0
@@ -208,21 +210,28 @@ def save_checkpoint(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint file; a cut, foreign or malformed file raises
+    ParseError naming the path."""
     blob = Path(path).read_bytes()
-    nl = blob.index(b"\n")
-    header = json.loads(blob[:nl].decode("utf-8"))
-    if header.get("format") != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} file")
+    nl = blob.find(b"\n")
+    if nl < 0:
+        raise ParseError(f"{path}: truncated checkpoint: no header line")
+    try:
+        header = json.loads(blob[:nl].decode("utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{path}: unreadable checkpoint header: {exc}") from None
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
+        raise ParseError(f"{path}: not a {CHECKPOINT_MAGIC} file")
     arrays: dict[str, np.ndarray] = {}
     offset = nl + 1
     for name, shape in header["arrays"]:
         count = int(np.prod(shape)) if shape else 1
         end = offset + 8 * count
+        if end > len(blob):
+            raise ParseError(f"{path}: truncated payload for array {name!r}")
         flat = np.frombuffer(blob[offset:end], dtype="<f8")
-        if flat.size != count:
-            raise ValueError(f"{path}: truncated payload for array {name!r}")
         arrays[name] = flat.reshape(shape).astype(np.float64)
         offset = end
     if offset != len(blob):
-        raise ValueError(f"{path}: trailing bytes after parameter payload")
+        raise ParseError(f"{path}: trailing bytes after parameter payload")
     return header, arrays

@@ -15,12 +15,10 @@ from dataclasses import dataclass, asdict, field, replace
 import numpy as np
 
 from . import encoding, metrics, regressor
-from .corpus import Instance, PairID, VAScore, split_train_validation
+from .corpus import REGIMES, Instance, PairID, VAScore, split_train_validation
 from .encoding import EncoderSpec
 
 logger = logging.getLogger(__name__)
-
-REGIMES = ("joint", "separate")
 
 # AdamW constants; unstated by the protocol, fixed here and recorded in every
 # checkpoint header via the config.

@@ -1,14 +1,19 @@
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from dimasr import cli, encoding, trainer
 from dimasr.corpus import VA_MAX, VA_MIN, parse_va
+from dimasr.regressor import CHECKPOINT_MAGIC
 from dimasr.encoding import EncoderSpec
 from synth import SYNTH_PAIRS, make_instances, write_raw_dir
 
@@ -31,6 +36,18 @@ def tree_hashes(root: Path) -> dict[str, str]:
 
 def run(argv) -> int:
     return cli.main(argv)
+
+
+SRC_ROOT = Path(cli.__file__).resolve().parents[1]
+TINY_GRID = [{"batch_size": 8, "learning_rate": 0.01, "max_epochs": 2,
+              "bounded": bounded} for bounded in (True, False)]
+
+
+def python_env(**overrides) -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this dimasr."""
+    path = os.pathsep.join(filter(None, [str(SRC_ROOT),
+                                         os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **overrides}
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +287,30 @@ class TestPredictStage:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("damage", ["cut-header", "short-payload",
+                                        "bad-magic"])
+    def test_damaged_checkpoint_names_path(self, pipeline, tmp_path, capsys,
+                                           damage):
+        ckpts = tmp_path / "ckpts"
+        shutil.copytree(pipeline / "ckpts", ckpts)
+        damaged = ckpts / "M3.ckpt"
+        blob = damaged.read_bytes()
+        damaged.write_bytes({
+            "cut-header": blob[:blob.index(b"\n") // 2],
+            "short-payload": blob[:-12],
+            "bad-magic": blob.replace(CHECKPOINT_MAGIC.encode(),
+                                      b"dimasr-checkpoint-v0", 1),
+        }[damage])
+        out = tmp_path / "preds"
+        assert run(["predict", "--ckpts", str(ckpts),
+                    "--data", str(pipeline / "insts/dev"),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(damaged) in err[0]
+        assert not out.exists()
+
+
 class TestEvaluateStage:
     def test_perfect_predictions_score_zero(self, pipeline, tmp_path):
         pred_dir = tmp_path / "perfect"
@@ -322,6 +363,13 @@ class TestEnsembleStage:
                 dest.parent.mkdir(parents=True, exist_ok=True)
                 dest.write_bytes(
                     (pipeline / "preds/dev" / mid / f"{pair}.json").read_bytes())
+
+    def pick_member(self, pipeline, selected: bool) -> tuple[str, str]:
+        """A (pair, member) whose member is, or is not, in the pair's subset."""
+        selection = json.loads((pipeline / "ens/selection.json").read_text())
+        return next(
+            (pair, mid) for pair in SYNTH_PAIRS for mid in selection["member_ids"]
+            if (mid in selection["per_pair"][pair]["subset"]) == selected)
 
     def test_two_member_pool_forced_selection(self, pipeline, tmp_path):
         root = tmp_path / "two"
@@ -381,10 +429,7 @@ class TestEnsembleStage:
     @pytest.mark.parametrize("selected", [True, False])
     def test_test_coverage_checked_before_writing(self, pipeline, tmp_path,
                                                   capsys, selected):
-        selection = json.loads((pipeline / "ens/selection.json").read_text())
-        pair, member = next(
-            (pair, mid) for pair in SYNTH_PAIRS for mid in selection["member_ids"]
-            if (mid in selection["per_pair"][pair]["subset"]) == selected)
+        pair, member = self.pick_member(pipeline, selected)
         preds = tmp_path / "preds"
         shutil.copytree(pipeline / "preds", preds)
         (preds / "test" / member / f"{pair}.json").unlink()
@@ -396,6 +441,44 @@ class TestEnsembleStage:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f"{member} [{pair}]" in err[0]
+        assert not out.exists()
+
+    def test_misaligned_dev_member_names_file_and_key(self, pipeline, tmp_path,
+                                                      capsys):
+        root = tmp_path / "preds"
+        self.copy_members(pipeline, root)
+        cut = root / "M2" / f"{SYNTH_PAIRS[0]}.json"
+        rows = json.loads(cut.read_text())
+        cut.write_text(json.dumps(rows[:-1]), encoding="utf-8")
+        out = tmp_path / "ens"
+        assert run(["ensemble", "--dev-preds", str(root),
+                    "--dev-gold", str(pipeline / "insts/dev"),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cut}: ")
+        assert f"missing key {(rows[-1]['ID'], rows[-1]['Aspect'])}" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("selected", [True, False])
+    def test_misaligned_test_member_names_file_and_key(self, pipeline, tmp_path,
+                                                       capsys, selected):
+        pair, member = self.pick_member(pipeline, selected)
+        preds = tmp_path / "preds"
+        shutil.copytree(pipeline / "preds", preds)
+        cut = preds / "test" / member / f"{pair}.json"
+        rows = json.loads(cut.read_text())
+        cut.write_text(json.dumps(rows[:-1]), encoding="utf-8")
+        out = tmp_path / "ens"
+        assert run(["ensemble", "--dev-preds", str(preds / "dev"),
+                    "--test-preds", str(preds / "test"),
+                    "--dev-gold", str(pipeline / "insts/dev"),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        # The first member's file is the reference, so a cut in it shows up
+        # as an extra key in the next member; the line names both files.
+        assert str(cut) in err[0]
+        assert str((rows[-1]["ID"], rows[-1]["Aspect"])) in err[0]
         assert not out.exists()
 
     def test_canonical_json_rejects_nan(self):
@@ -458,3 +541,95 @@ class TestManifests:
         for rel, digest in manifest["outputs"].items():
             blob = (pipeline / "ckpts" / rel).read_bytes()
             assert hashlib.sha256(blob).hexdigest() == digest
+
+
+class TestStageImports:
+    """preprocess and submit never touch an array, so they run without
+    loading numpy; train imports the layers it needs when it runs."""
+
+    SCRIPT = """
+import json, sys
+from dimasr import cli
+raw, preds, config, work = sys.argv[1:]
+loaded = {"import": "numpy" in sys.modules}
+codes = {"preprocess": cli.main(["preprocess", "--input", raw,
+                                 "--out", work + "/insts"])}
+loaded["preprocess"] = "numpy" in sys.modules
+codes["submit"] = cli.main(["submit", "--pred", preds, "--out", work + "/sub"])
+loaded["submit"] = "numpy" in sys.modules
+codes["train"] = cli.main(["train", "--data", work + "/insts",
+                           "--out", work + "/ckpts", "--config", config])
+loaded["train"] = "numpy" in sys.modules
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+    def test_numpy_loaded_only_by_stages_that_use_it(self, tmp_path):
+        raw = write_raw_dir(tmp_path / "raw", n_records=6, seed=3)
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        (preds / "zzz-res.json").write_text(
+            json.dumps([{"ID": "r0", "Aspect": "x", "VA": "5.5#4.25"}]),
+            encoding="utf-8")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**RUN_CONFIG, "grid": TINY_GRID[:1]}),
+                          encoding="utf-8")
+        work = tmp_path / "work"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(raw), str(preds),
+             str(config), str(work)],
+            env=python_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == {"preprocess": 0, "submit": 0, "train": 0}
+        assert result["loaded"] == {"import": False, "preprocess": False,
+                                    "submit": False, "train": True}
+        assert sorted(p.name for p in (work / "ckpts").glob("*.ckpt")) == ["M1.ckpt"]
+
+
+class TestCrossProcessDeterminism:
+    """The whole chain, one cold process per stage as a user runs it, twice
+    under a different hash seed and BLAS thread count: every manifest, and
+    so every output hash, must match byte for byte."""
+
+    def run_chain(self, raw: Path, work: Path, env: dict) -> None:
+        config = work / "run.json"
+        work.mkdir()
+        config.write_text(json.dumps({**RUN_CONFIG, "grid": TINY_GRID}),
+                          encoding="utf-8")
+        stages = [
+            ["preprocess", "--input", raw / "train", "--out", work / "insts/train"],
+            ["preprocess", "--input", raw / "dev", "--out", work / "insts/dev"],
+            ["preprocess", "--input", raw / "test", "--out", work / "insts/test"],
+            ["train", "--data", work / "insts/train", "--out", work / "ckpts",
+             "--config", config],
+            ["predict", "--ckpts", work / "ckpts", "--data", work / "insts/dev",
+             "--out", work / "preds/dev"],
+            ["predict", "--ckpts", work / "ckpts", "--data", work / "insts/test",
+             "--out", work / "preds/test"],
+            ["ensemble", "--dev-preds", work / "preds/dev",
+             "--test-preds", work / "preds/test",
+             "--dev-gold", work / "insts/dev", "--out", work / "ens"],
+            ["submit", "--pred", work / "ens/test", "--out", work / "submission"],
+        ]
+        for argv in stages:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dimasr.cli", *map(str, argv)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, (argv[0], proc.stderr)
+
+    def test_manifests_identical_across_processes(self, tmp_path):
+        raw = tmp_path / "raw"
+        write_raw_dir(raw / "train", n_records=10, seed=42)
+        write_raw_dir(raw / "dev", n_records=4, seed=7)
+        write_raw_dir(raw / "test", n_records=4, seed=9, with_gold=False,
+                      anomalies=False)
+        works = [tmp_path / "run0", tmp_path / "run1"]
+        envs = [python_env(PYTHONHASHSEED="0", OPENBLAS_NUM_THREADS="1"),
+                python_env(PYTHONHASHSEED="4242", OPENBLAS_NUM_THREADS="2")]
+        # The two chains are independent; run them side by side.
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(self.run_chain, [raw, raw], works, envs))
+        runs = [{str(p.relative_to(work)): p.read_bytes()
+                 for p in sorted(work.rglob("manifest.json"))} for work in works]
+        assert len(runs[0]) == 8
+        assert runs[0] == runs[1]

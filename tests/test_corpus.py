@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dimasr.corpus import (
     NULL_ASPECT,
@@ -67,6 +69,14 @@ class TestVAWire:
         for _ in range(200):
             score = VAScore(rng.uniform(1, 9), rng.uniform(1, 9))
             assert parse_va(format_va(score)) == score
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_round_trip_every_finite_value(self, valence, arousal):
+        score = VAScore(valence, arousal)
+        back = parse_va(format_va(score))
+        assert back.as_tuple() == score.as_tuple()
+        assert format_va(back) == format_va(score)
 
     def test_unparseable_string_names_raw_value(self):
         with pytest.raises(ParseError, match="7;5"):

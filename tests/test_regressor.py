@@ -1,9 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dimasr.corpus import ParseError
 from dimasr.regressor import (
+    CHECKPOINT_MAGIC,
     HeadParams,
     backward,
     bound,
@@ -94,6 +99,12 @@ class TestBound:
     def test_strictly_inside_interval(self, rng):
         z = rng.uniform(-50, 50, 10_000)
         out = bound(z)
+        assert np.all(out > 1.0) and np.all(out < 9.0)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=32))
+    def test_strictly_inside_for_every_finite_input(self, values):
+        out = bound(np.array(values))
         assert np.all(out > 1.0) and np.all(out < 9.0)
 
     def test_monotone_on_sorted_input(self, rng):
@@ -278,6 +289,21 @@ class TestCheckpointFile:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["cut-header", "short-payload",
+                                        "bad-magic"])
+    def test_damaged_file_raises_parse_error_naming_path(self, tmp_path, rng,
+                                                         damage):
+        path, _, _ = self.make(tmp_path, rng)
+        blob = path.read_bytes()
+        path.write_bytes({
+            "cut-header": blob[:blob.index(b"\n") - 1],
+            "short-payload": blob[:-3],
+            "bad-magic": blob.replace(CHECKPOINT_MAGIC.encode(),
+                                      b"dimasr-checkpoint-v0", 1),
+        }[damage])
+        with pytest.raises(ParseError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     def test_foreign_file_rejected(self, tmp_path):

@@ -1,8 +1,14 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dimasr import encoding, metrics, regressor
-from dimasr.corpus import Instance, PairID, VAScore
+from dimasr.corpus import REGIMES, Instance, PairID, VAScore
 from dimasr.encoding import EncoderSpec
 from dimasr.trainer import (
     AdamW,
@@ -345,6 +351,39 @@ class TestCheckpointObject:
         second = tmp_path / "m2.ckpt"
         Checkpoint.load(first).save(second)
         assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 6),
+           bounded=st.booleans(), trainable=st.booleans())
+    def test_save_load_save_byte_identical_for_any_contents(self, data, d,
+                                                            bounded, trainable):
+        # Any float64 bit pattern, NaN payloads included, must survive.
+        def array(shape):
+            return data.draw(hnp.arrays(np.float64, shape,
+                                        elements=st.floats(width=64)))
+
+        ints = st.integers(1, 2**31)
+        ckpt = Checkpoint(
+            id=data.draw(st.text(min_size=1, max_size=8)),
+            config=TrainConfig(
+                batch_size=data.draw(ints), max_epochs=data.draw(ints),
+                learning_rate=data.draw(st.floats(1e-300, 1e300)),
+                bounded=bounded, seed=data.draw(st.integers(0, 2**63)),
+                patience=data.draw(ints),
+                regime=data.draw(st.sampled_from(REGIMES)),
+                dropout_rate=data.draw(st.floats(0.0, 0.99))),
+            encoder_spec=EncoderSpec(max_len=data.draw(st.integers(8, 512)),
+                                     hidden_size=d, trainable_layer=trainable),
+            head=regressor.HeadParams(W=array((2, d)), b=array((2,)),
+                                      dropout_rate=0.1, bounded=bounded),
+            projection=array((d, d)) if trainable else None,
+            best_val_rmse=data.draw(st.floats(allow_nan=False)),
+            epoch_of_best=data.draw(st.integers(0, 1000)))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.ckpt"), Path(tmp, "b.ckpt")
+            ckpt.save(first)
+            Checkpoint.load(first).save(second)
+            assert first.read_bytes() == second.read_bytes()
 
     def test_bounded_predictions_inside_range(self):
         train_set = make_instances("zho-res", 16, seed=0)
