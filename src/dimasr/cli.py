@@ -88,12 +88,19 @@ def _file_pair(path: Path) -> PairID:
 
 
 def load_instances(path: Path) -> list[Instance]:
+    """Instances of a per-pair file; a repeated (ID, Aspect) key is a ParseError."""
     pair = _file_pair(path)
     rows = json.loads(path.read_text(encoding="utf-8"))
-    return [Instance(id=row["ID"], text=row["Text"], aspect=row["Aspect"],
-                     gold=parse_va(row["VA"]) if "VA" in row else None,
-                     pair=pair)
-            for row in rows]
+    instances = [Instance(id=row["ID"], text=row["Text"], aspect=row["Aspect"],
+                          gold=parse_va(row["VA"]) if "VA" in row else None,
+                          pair=pair)
+                 for row in rows]
+    first_at = {}
+    for i, inst in enumerate(instances):
+        if first_at.setdefault(inst.key, i) != i:
+            raise ParseError(f"{path}: record {i}: duplicate (ID, Aspect) key "
+                             f"{inst.key}, first at record {first_at[inst.key]}")
+    return instances
 
 
 def write_predictions(path: Path, preds: list[Prediction]) -> None:
@@ -311,6 +318,11 @@ def cmd_evaluate(args) -> int:
             print(f"error: missing prediction file {path}", file=sys.stderr)
             return 1
         preds[pair] = load_predictions(path)
+        problem = _key_mismatch(path, preds[pair], gold_dir / f"{pair}.json",
+                                [inst.key for inst in gold[pair]])
+        if problem:
+            print(f"error: {problem}", file=sys.stderr)
+            return 1
     report = metrics.evaluate(preds, gold)
 
     inputs = {f"gold/{p}.json": sha256_file(gold_dir / f"{p}.json") for p in gold}
@@ -333,19 +345,22 @@ def _load_member(root: Path, member_id: str) -> dict[PairID, list[Prediction]]:
     return out
 
 
-def _key_mismatch(preds: list[Prediction], ref: list[tuple[str, str]]) -> str | None:
-    """How preds fail to hold each (ID, Aspect) key of ref exactly once."""
+def _key_mismatch(path: Path, preds: list[Prediction], ref_path: Path,
+                  ref: list[tuple[str, str]]) -> str | None:
+    """One line naming `path` when its predictions fail to hold each
+    (ID, Aspect) key of the reference file `ref_path` exactly once."""
+    where = f"{path}: (ID, Aspect) keys differ from {ref_path}"
     seen = set()
     for p in preds:
         if p.key in seen:
-            return f"duplicate key {p.key}"
+            return f"{where}: duplicate key {p.key}"
         seen.add(p.key)
     missing = next((k for k in ref if k not in seen), None)
     if missing is not None:
-        return f"first missing key {missing}"
+        return f"{where}: first missing key {missing}"
     ref_keys = set(ref)
     extra = next((p.key for p in preds if p.key not in ref_keys), None)
-    return None if extra is None else f"first extra key {extra}"
+    return None if extra is None else f"{where}: first extra key {extra}"
 
 
 def _misaligned_file(members: list[ensemble.Member],
@@ -362,10 +377,10 @@ def _misaligned_file(members: list[ensemble.Member],
                   [p.key for p in first.test[pair]]) for pair in pairs]
     for split, root, pair, ref_path, ref in refs:
         for m in members:
-            problem = _key_mismatch(m.predictions(pair, split), ref)
+            problem = _key_mismatch(root / m.id / f"{pair}.json",
+                                    m.predictions(pair, split), ref_path, ref)
             if problem:
-                return (f"{root / m.id / f'{pair}.json'}: (ID, Aspect) keys "
-                        f"differ from {ref_path}: {problem}")
+                return problem
     return None
 
 
@@ -374,8 +389,9 @@ def cmd_ensemble(args) -> int:
     dev_root, gold_dir, out_dir = Path(args.dev_preds), Path(args.dev_gold), Path(args.out)
     test_root = Path(args.test_preds) if args.test_preds else None
     member_ids = sorted(p.name for p in dev_root.iterdir() if p.is_dir())
-    if len(member_ids) < 2:
-        print(f"error: need at least 2 members under {dev_root}", file=sys.stderr)
+    if not 2 <= len(member_ids) <= ensemble.MAX_POOL_SIZE:
+        print(f"error: {dev_root} holds {len(member_ids)} member directories; "
+              f"need 2 to {ensemble.MAX_POOL_SIZE}", file=sys.stderr)
         return 1
 
     members = []
@@ -446,12 +462,10 @@ def cmd_ensemble(args) -> int:
         sub_dir = out_dir / "submission"
         for pair, preds in combined["test"].items():
             dest = sub_dir / f"{pair}.json"
-            write_submission(dest, preds, clamp=args.clamp,
-                             precision=args.precision)
+            write_submission(dest, preds)
             outputs.append(dest)
 
-    params = {"min_size": args.min_size, "max_size": args.max_size,
-              "clamp": args.clamp, "precision": args.precision}
+    params = {"min_size": args.min_size, "max_size": args.max_size}
     write_manifest(out_dir, "ensemble", params, inputs, outputs)
     print(selection.render_membership_matrix())
     return 0
@@ -550,9 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--min-size", type=int, default=2)
     p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--clamp", dest="clamp", action="store_true", default=True)
-    p.add_argument("--no-clamp", dest="clamp", action="store_false")
-    p.add_argument("--precision", type=int, default=2)
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("submit", help="export leaderboard-format files")

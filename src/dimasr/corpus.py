@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 VA_MIN = 1.0
@@ -73,10 +73,6 @@ class PairID:
         if not sep or not lang or not dom:
             raise ValueError(f"not a '<lang>-<dom>' pair id: {value!r}")
         return cls(lang, dom)
-
-    @property
-    def is_official(self) -> bool:
-        return str(self) in OFFICIAL_PAIRS
 
     def __str__(self) -> str:
         return f"{self.language}-{self.domain}"
@@ -188,14 +184,6 @@ class Prediction:
     @property
     def key(self) -> tuple[str, str]:
         return (self.id, self.aspect)
-
-
-@dataclass
-class DatasetSplit:
-    train: list[Instance] = field(default_factory=list)
-    validation: list[Instance] = field(default_factory=list)
-    dev: list[Instance] = field(default_factory=list)
-    test: list[Instance] = field(default_factory=list)
 
 
 @dataclass

@@ -95,7 +95,6 @@ class SentencePairInput:
     """A template-formatted token sequence of length exactly max_len."""
 
     tokens: tuple[int, ...]
-    first_special_index: int = 0
 
 
 def token_id(token: str, spec: EncoderSpec) -> int:
@@ -137,45 +136,15 @@ def format_pair(aspect: str, text: str, spec: EncoderSpec) -> SentencePairInput:
     else:
         seq = [FIRST_SPECIAL_ID, *aspect_ids, SEP_ID, SEP_ID, *text_ids, SEP_ID]
     seq.extend([PAD_ID] * (spec.max_len - len(seq)))
-    return SentencePairInput(tokens=tuple(seq), first_special_index=0)
-
-
-def split_segments(pair_input: SentencePairInput,
-                   spec: EncoderSpec) -> tuple[list[int], list[int]]:
-    """Recover (aspect token ids, text token ids) from a formatted sequence.
-
-    Word ids never collide with the reserved separator ids, so the segments
-    are unambiguous; the text side comes back possibly tail-truncated.
-    """
-    toks = list(pair_input.tokens)
-    if not toks or toks[0] != FIRST_SPECIAL_ID:
-        raise EncodingError("sequence does not start with the first special token")
-    try:
-        first_sep = toks.index(SEP_ID)
-    except ValueError:
-        raise EncodingError("no separator found") from None
-    aspect_ids = toks[1:first_sep]
-    body_start = first_sep + (2 if spec.template == TEMPLATE_ROBERTA else 1)
-    body = toks[body_start:]
-    try:
-        last_sep = body.index(SEP_ID)
-    except ValueError:
-        raise EncodingError("unterminated text segment") from None
-    return aspect_ids, body[:last_sep]
+    return SentencePairInput(tokens=tuple(seq))
 
 
 @lru_cache(maxsize=200_000)
 def _cached_token_vector(tok: int, d: int, seed: int) -> np.ndarray:
+    """The fixed uniform(-1,1)^d feature vector owned by a non-pad token id."""
     vec = np.random.default_rng([seed, tok]).uniform(-1.0, 1.0, d)
     vec.flags.writeable = False
     return vec
-
-
-def token_vector(tok: int, d: int, seed: int) -> np.ndarray:
-    """The fixed uniform(-1,1)^d feature vector owned by a token id."""
-    if tok == PAD_ID:
-        return np.zeros(d)
-    return _cached_token_vector(tok, d, seed)
 
 
 def toy_encode(pair_input: SentencePairInput, d: int, seed: int) -> np.ndarray:
@@ -187,18 +156,16 @@ def toy_encode(pair_input: SentencePairInput, d: int, seed: int) -> np.ndarray:
     for pos, tok in enumerate(pair_input.tokens):
         if tok == PAD_ID:
             continue
-        acc += token_vector(tok, d, seed) / (1.0 + pos)
+        acc += _cached_token_vector(tok, d, seed) / (1.0 + pos)
         n += 1
     return acc / max(1, n)
 
 
-def encode(inputs: list[SentencePairInput], spec: EncoderSpec,
-           params: np.ndarray | None = None) -> np.ndarray:
-    """Encode a batch of formatted sequences into an (n, d) embedding matrix.
+def encode(inputs: list[SentencePairInput], spec: EncoderSpec) -> np.ndarray:
+    """Encode a batch of formatted sequences into frozen (n, d) toy features.
 
-    For the toy backend `params` is the optional trainable projection matrix
-    (d x d) applied to the frozen features; None means frozen features only.
-    Deterministic given (inputs, spec, params).
+    Deterministic given (inputs, spec); a trainable projection is applied
+    downstream through apply_projection().
     """
     if spec.backend != BACKEND_TOY:
         raise EncodingError(
@@ -208,9 +175,8 @@ def encode(inputs: list[SentencePairInput], spec: EncoderSpec,
         if len(item.tokens) != spec.max_len:
             raise EncodingError(
                 f"input {i} has length {len(item.tokens)}, spec.max_len is {spec.max_len}")
-    feats = np.stack([toy_encode(item, spec.hidden_size, spec.seed)
-                      for item in inputs]) if inputs else np.zeros((0, spec.hidden_size))
-    return apply_projection(feats, params)
+    return np.stack([toy_encode(item, spec.hidden_size, spec.seed)
+                     for item in inputs]) if inputs else np.zeros((0, spec.hidden_size))
 
 
 def apply_projection(feats: np.ndarray, projection: np.ndarray | None) -> np.ndarray:
@@ -239,7 +205,7 @@ def pair_features(pairs: list[tuple[str, str]], spec: EncoderSpec) -> np.ndarray
     """
     if spec.backend == BACKEND_TOY:
         inputs = [format_pair(aspect, text, spec) for aspect, text in pairs]
-        return encode(inputs, spec, None)
+        return encode(inputs, spec)
     from .hf_backend import PretrainedEncoder
     return PretrainedEncoder(spec).encode_pairs(pairs)
 

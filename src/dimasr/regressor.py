@@ -1,11 +1,13 @@
 """Two-output regression head with optional sigmoid-bounded transform.
 
-Forward path: h = Dropout(e), y = W h + b, with W in R^{2 x d} and b in R^2.
-When bounded, predictions are mapped through sigmoid(y) * 8 + 1 so both
-components lie strictly inside (1, 9); the loss is plain MSE on the final
-(bounded or raw) predictions.  backward() returns exact analytic gradients,
-including the per-output chain factor 8 * s * (1 - s) for bounded heads and
-the gradient of an optional trainable encoder projection.
+Forward path: e = feats A^T (optional trainable projection A), h = Dropout(e),
+y = W h + b, with W in R^{2 x d} and b in R^2.  When bounded, predictions are
+mapped through sigmoid(y) * 8 + 1 so both components lie strictly inside
+(1, 9); the loss is plain MSE on the final (bounded or raw) predictions.
+forward_cached() is the one forward path: training runs it with dropout and
+keeps its cache for backward(), and predict() runs it with train=False.
+backward() returns exact analytic gradients, including the per-output chain
+factor 8 * s * (1 - s) for bounded heads and the gradient of the projection.
 
 Checkpoint files are a single canonical-JSON header line followed by the
 flat little-endian float64 parameter payload; a load/save round trip is
@@ -56,7 +58,7 @@ def bound(y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HeadParams:
-    """Learnable head parameters plus the knobs that shape its forward pass."""
+    """Learnable head parameters plus the knobs that shape forward_cached()."""
 
     W: np.ndarray                 # (2, d)
     b: np.ndarray                 # (2,)
@@ -89,37 +91,7 @@ def init_head(d: int, seed: int, dropout_rate: float = 0.1,
 
 def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     # Inverted dropout: keep-mask scaled by 1/(1-rate) so E[mask * x] = x.
-    if rate == 0.0:
-        return np.ones(shape)
     return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
-def forward(e: np.ndarray, params: HeadParams, mode: str = "infer",
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Raw head outputs y = W Dropout(e) + b; dropout active in train mode only."""
-    e = np.asarray(e, dtype=np.float64)
-    single = e.ndim == 1
-    if single:
-        e = e[None, :]
-    if e.shape[1] != params.hidden_size:
-        raise ValueError(
-            f"embedding size {e.shape[1]} does not match head size {params.hidden_size}")
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if mode == "train" and params.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("train-mode forward with dropout needs an rng")
-        h = e * _dropout_mask(e.shape, params.dropout_rate, rng)
-    else:
-        h = e
-    y = h @ params.W.T + params.b
-    return y[0] if single else y
-
-
-def predict(e: np.ndarray, params: HeadParams) -> np.ndarray:
-    """Inference-mode predictions: bounded when the head is bounded, else raw."""
-    y = forward(e, params, mode="infer")
-    return bound(y) if params.bounded else y
 
 
 def mse_loss(pred, gold) -> float:
@@ -138,22 +110,21 @@ def forward_cached(feats: np.ndarray, params: HeadParams,
                    projection: np.ndarray | None = None,
                    rng: np.random.Generator | None = None,
                    train: bool = True) -> tuple[np.ndarray, dict]:
-    """Full training forward over frozen base features; caches intermediates.
+    """The head's forward pass over (n, d) features; caches intermediates.
 
-    feats (n, d) -> e = feats @ A^T (if projection A given) -> dropout -> head
-    -> bound (if bounded).  The cache feeds backward().
+    feats -> e = feats @ A^T (if projection A given) -> dropout (train only)
+    -> head -> bound (if bounded).  The cache feeds backward().
     """
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     e = feats if projection is None else feats @ projection.T
     if e.shape[1] != params.hidden_size:
         raise ValueError(
             f"feature size {e.shape[1]} does not match head size {params.hidden_size}")
+    mask = 1.0   # no dropout; e * 1.0 equals e bit for bit
     if train and params.dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training forward with dropout needs an rng")
         mask = _dropout_mask(e.shape, params.dropout_rate, rng)
-    else:
-        mask = np.ones(e.shape)
     h = e * mask
     y = h @ params.W.T + params.b
     if params.bounded:
@@ -165,6 +136,11 @@ def forward_cached(feats: np.ndarray, params: HeadParams,
     cache = {"feats": feats, "mask": mask, "h": h, "y": y, "s": s,
              "pred": pred, "params": params, "projection": projection}
     return pred, cache
+
+
+def predict(e: np.ndarray, params: HeadParams) -> np.ndarray:
+    """Inference-mode predictions: bounded when the head is bounded, else raw."""
+    return forward_cached(e, params, train=False)[0]
 
 
 def backward(cache: dict, gold: np.ndarray) -> dict[str, np.ndarray]:

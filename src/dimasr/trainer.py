@@ -57,10 +57,6 @@ class TrainConfig:
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
 
-    def in_standard_grid(self) -> bool:
-        """Whether batch size and learning rate sit in the protocol's ranges."""
-        return self.batch_size in (16, 32, 64) and 8e-6 <= self.learning_rate <= 3e-5
-
     def to_dict(self) -> dict:
         return asdict(self)
 

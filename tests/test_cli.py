@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dimasr import cli, encoding, trainer
+from dimasr import cli, encoding, ensemble, trainer
 from dimasr.corpus import VA_MAX, VA_MIN, parse_va
 from dimasr.regressor import CHECKPOINT_MAGIC
 from dimasr.encoding import EncoderSpec
@@ -85,6 +85,23 @@ def run_pipeline(raw: Path, work: Path, config_path: Path) -> None:
                 "--out", str(work / "eval")]) == 0
     assert run(["submit", "--pred", str(work / "ens/test"),
                 "--out", str(work / "submission")]) == 0
+
+
+def gold_with_duplicate(src: Path, dest: Path) -> str:
+    """Copy the instance dir src to dest with one file's first record appended
+    again; returns the error line that file must raise."""
+    shutil.copytree(src, dest)
+    path = dest / f"{SYNTH_PAIRS[0]}.json"
+    rows = json.loads(path.read_text())
+    path.write_text(json.dumps(rows + rows[:1]), encoding="utf-8")
+    return (f"error: {path}: record {len(rows)}: duplicate (ID, Aspect) key "
+            f"{(rows[0]['ID'], rows[0]['Aspect'])}, first at record 0")
+
+
+def single_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
 
 
 PIPELINE_SECONDS = {}
@@ -330,6 +347,34 @@ class TestEvaluateStage:
         assert report["average"] == 0.0
         assert all(v == 0.0 for v in report["per_pair"].values())
 
+    @pytest.mark.parametrize("damage", ["cut", "duplicate"])
+    def test_misaligned_prediction_names_file_and_key(self, pipeline, tmp_path,
+                                                      capsys, damage):
+        pred_dir = tmp_path / "preds"
+        shutil.copytree(pipeline / "preds/dev/M1", pred_dir)
+        bad = pred_dir / f"{SYNTH_PAIRS[0]}.json"
+        rows = json.loads(bad.read_text())
+        key = (rows[-1]["ID"], rows[-1]["Aspect"])
+        rows = rows[:-1] if damage == "cut" else rows + rows[-1:]
+        bad.write_text(json.dumps(rows), encoding="utf-8")
+        out = tmp_path / "eval"
+        gold = pipeline / "insts/dev"
+        assert run(["evaluate", "--pred", str(pred_dir), "--gold", str(gold),
+                    "--out", str(out)]) == 1
+        err = single_error_line(capsys)
+        assert err.startswith(f"error: {bad}: ")
+        assert str(gold / bad.name) in err
+        assert f"{'missing' if damage == 'cut' else 'duplicate'} key {key}" in err
+        assert not out.exists()
+
+    def test_duplicate_gold_record_names_file(self, pipeline, tmp_path, capsys):
+        expected = gold_with_duplicate(pipeline / "insts/dev", tmp_path / "gold")
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--pred", str(pipeline / "ens/dev"),
+                    "--gold", str(tmp_path / "gold"), "--out", str(out)]) == 1
+        assert single_error_line(capsys) == expected
+        assert not out.exists()
+
     def test_report_files_written(self, pipeline):
         report = json.loads((pipeline / "eval/report.json").read_text())
         assert set(report["per_pair"]) == set(SYNTH_PAIRS)
@@ -479,6 +524,29 @@ class TestEnsembleStage:
         # as an extra key in the next member; the line names both files.
         assert str(cut) in err[0]
         assert str((rows[-1]["ID"], rows[-1]["Aspect"])) in err[0]
+        assert not out.exists()
+
+    def test_pool_over_max_size_rejected(self, pipeline, tmp_path, capsys):
+        root = tmp_path / "preds"
+        n = ensemble.MAX_POOL_SIZE + 1
+        for i in range(1, n + 1):
+            shutil.copytree(pipeline / "preds/dev/M1", root / f"M{i:02d}")
+        out = tmp_path / "ens"
+        assert run(["ensemble", "--dev-preds", str(root),
+                    "--dev-gold", str(pipeline / "insts/dev"),
+                    "--out", str(out)]) == 1
+        err = single_error_line(capsys)
+        assert str(root) in err and f"holds {n} member" in err
+        assert not out.exists()
+
+    def test_duplicate_gold_record_names_file(self, pipeline, tmp_path, capsys):
+        root = tmp_path / "preds"
+        self.copy_members(pipeline, root)
+        expected = gold_with_duplicate(pipeline / "insts/dev", tmp_path / "gold")
+        out = tmp_path / "ens"
+        assert run(["ensemble", "--dev-preds", str(root),
+                    "--dev-gold", str(tmp_path / "gold"), "--out", str(out)]) == 1
+        assert single_error_line(capsys) == expected
         assert not out.exists()
 
     def test_canonical_json_rejects_nan(self):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dimasr.corpus import (
     NULL_ASPECT,
-    OFFICIAL_PAIRS,
     Instance,
     PairID,
     ParseError,
@@ -42,10 +41,6 @@ class TestPairID:
         pair = PairID.parse("zho-res")
         assert (pair.language, pair.domain) == ("zho", "res")
         assert str(pair) == "zho-res"
-
-    def test_official_recognition(self):
-        assert all(PairID.parse(p).is_official for p in OFFICIAL_PAIRS)
-        assert not PairID.parse("xya-foo").is_official
 
     def test_bad_form_rejected(self):
         with pytest.raises(ValueError):
@@ -299,17 +294,6 @@ class TestSplit:
         instances = make_instances("zho-res", 5, seed=0)
         train, val = split_train_validation(instances, 0.01, seed=0)
         assert len(val) == 1 and len(train) == 4
-
-
-class TestDatasetSplit:
-    def test_container_defaults_and_assignment(self):
-        from dimasr.corpus import DatasetSplit
-        split = DatasetSplit()
-        assert (split.train, split.validation, split.dev, split.test) == \
-            ([], [], [], [])
-        instances = make_instances("zho-res", 10, seed=2)
-        split.train, split.validation = split_train_validation(instances, 0.10, 3)
-        assert len(split.train) + len(split.validation) == 10
 
 
 class TestPool:

@@ -18,7 +18,6 @@ from dimasr.encoding import (
     format_pair,
     init_projection,
     instance_features,
-    split_segments,
     token_id,
     tokenize,
     toy_encode,
@@ -31,6 +30,20 @@ RSPEC = EncoderSpec(template=TEMPLATE_ROBERTA, max_len=32, hidden_size=8)
 
 def rand_words(rng, lo, hi):
     return " ".join(rng.choice(WORDS) for _ in range(rng.randint(lo, hi)))
+
+
+def assert_template_layout(out, aspect, text, spec):
+    """out is first special, the whole aspect, one separator (two for
+    roberta-style), the longest text prefix that fits, a separator, padding."""
+    aspect_ids, text_ids = tokenize(aspect, spec), tokenize(text, spec)
+    toks = list(out.tokens)
+    seps = 1 if spec.template == TEMPLATE_BERT else 2
+    start = 1 + len(aspect_ids) + seps
+    n_text = min(len(text_ids), spec.max_len - start - 1)
+    assert toks[:start] == [FIRST_SPECIAL_ID, *aspect_ids] + [SEP_ID] * seps
+    end = start + n_text
+    assert toks[start:end] == text_ids[:n_text]
+    assert toks[end:] == [SEP_ID] + [PAD_ID] * (spec.max_len - end - 1)
 
 
 class TestSpec:
@@ -70,7 +83,6 @@ class TestFormatPair:
         out = format_pair("battery", "great battery life", SPEC)
         toks = list(out.tokens)
         assert toks[0] == FIRST_SPECIAL_ID
-        assert out.first_special_index == 0
         first_sep = toks.index(SEP_ID)
         assert toks[1:first_sep] == tokenize("battery", SPEC)
 
@@ -91,8 +103,7 @@ class TestFormatPair:
         out = format_pair("battery", "", SPEC)
         assert len(out.tokens) == SPEC.max_len
         assert out.tokens[-1] == PAD_ID
-        aspect_ids, text_ids = split_segments(out, SPEC)
-        assert aspect_ids == tokenize("battery", SPEC) and text_ids == []
+        assert_template_layout(out, "battery", "", SPEC)
 
     def test_output_length_always_max_len(self):
         rng = random.Random(5)
@@ -119,20 +130,16 @@ class TestRoundTrip:
         for _ in range(100):
             aspect = rand_words(rng, 1, 4)
             text = rand_words(rng, 0, 50)
-            out = format_pair(aspect, text, spec)
-            aspect_ids, text_ids = split_segments(out, spec)
-            assert aspect_ids == tokenize(aspect, spec)
-            full = tokenize(text, spec)
-            assert text_ids == full[:len(text_ids)]
+            assert_template_layout(format_pair(aspect, text, spec), aspect, text,
+                                   spec)
 
     @pytest.mark.parametrize("spec", [SPEC, RSPEC])
     def test_aspect_never_truncated(self, spec):
         rng = random.Random(9)
         for _ in range(100):
-            aspect = rand_words(rng, 1, 6)
-            out = format_pair(aspect, rand_words(rng, 40, 80), spec)
-            aspect_ids, _ = split_segments(out, spec)
-            assert aspect_ids == tokenize(aspect, spec)
+            aspect, text = rand_words(rng, 1, 6), rand_words(rng, 40, 80)
+            assert_template_layout(format_pair(aspect, text, spec), aspect, text,
+                                   spec)
 
 
 class TestToyEncode:
@@ -205,17 +212,18 @@ class TestEncodeBatch:
     def test_projection_applied(self):
         inputs = self.batch(3)
         proj = np.random.default_rng(0).normal(size=(8, 8))
-        np.testing.assert_allclose(encode(inputs, SPEC, proj),
+        np.testing.assert_allclose(apply_projection(encode(inputs, SPEC), proj),
                                    encode(inputs, SPEC) @ proj.T)
 
     def test_identity_projection_is_noop(self):
         inputs = self.batch(3)
-        np.testing.assert_array_equal(encode(inputs, SPEC, init_projection(8)),
-                                      encode(inputs, SPEC))
+        feats = encode(inputs, SPEC)
+        np.testing.assert_array_equal(apply_projection(feats, init_projection(8)),
+                                      feats)
 
     def test_projection_shape_mismatch_rejected(self):
         with pytest.raises(EncodingError, match="projection"):
-            encode(self.batch(2), SPEC, np.zeros((4, 4)))
+            apply_projection(encode(self.batch(2), SPEC), np.zeros((4, 4)))
 
     def test_wrong_length_input_rejected(self):
         bad = SentencePairInput(tokens=(FIRST_SPECIAL_ID, SEP_ID))

@@ -12,7 +12,6 @@ from dimasr.regressor import (
     HeadParams,
     backward,
     bound,
-    forward,
     forward_cached,
     init_head,
     load_checkpoint,
@@ -31,39 +30,34 @@ def head(W, b, dropout=0.0, bounded=False):
 class TestForward:
     def test_zero_weights_return_bias(self):
         params = head(np.zeros((2, 5)), [3.0, 4.0])
-        np.testing.assert_array_equal(forward(np.ones(5), params), [3.0, 4.0])
+        np.testing.assert_array_equal(predict(np.ones((1, 5)), params), [[3.0, 4.0]])
 
     def test_zero_dropout_train_equals_infer(self, rng):
         params = head(rng.normal(size=(2, 6)), rng.normal(size=2))
         e = rng.normal(size=(4, 6))
-        np.testing.assert_array_equal(forward(e, params, "train", rng),
-                                      forward(e, params, "infer"))
+        np.testing.assert_array_equal(forward_cached(e, params, rng=rng)[0],
+                                      predict(e, params))
 
     def test_matches_naive_matvec_oracle(self, rng):
         for _ in range(30):
             d = int(rng.integers(2, 12))
             W = rng.normal(size=(2, d))
             b = rng.normal(size=2)
-            e = rng.normal(size=d)
-            got = forward(e, head(W, b))
-            expected = [sum(W[k][j] * e[j] for j in range(d)) + b[k]
-                        for k in range(2)]
+            e = rng.normal(size=(3, d))
+            got = predict(e, head(W, b))
+            expected = [[sum(W[k][j] * row[j] for j in range(d)) + b[k]
+                         for k in range(2)] for row in e]
             np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
 
     def test_shape_mismatch_rejected(self, rng):
         params = head(rng.normal(size=(2, 6)), rng.normal(size=2))
         with pytest.raises(ValueError, match="does not match"):
-            forward(np.ones(5), params)
+            predict(np.ones((2, 5)), params)
 
     def test_train_mode_with_dropout_needs_rng(self):
         params = head(np.zeros((2, 3)), np.zeros(2), dropout=0.5)
         with pytest.raises(ValueError, match="rng"):
-            forward(np.ones(3), params, "train")
-
-    def test_bad_mode_rejected(self):
-        params = head(np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(ValueError, match="mode"):
-            forward(np.ones(3), params, "test")
+            forward_cached(np.ones((2, 3)), params)
 
     def test_dropout_rate_bounds(self):
         with pytest.raises(ValueError):
@@ -229,10 +223,9 @@ class TestDropout:
     def test_train_mode_expectation_matches_infer(self, rng):
         d, n = 8, 20_000
         params = head(rng.normal(size=(2, d)), rng.normal(size=2), dropout=0.3)
-        e = rng.normal(size=d)
-        batch = np.tile(e, (n, 1))
-        draws = forward(batch, params, "train", rng)
-        target = forward(e, params, "infer")
+        e = rng.normal(size=(1, d))
+        draws, _ = forward_cached(np.tile(e, (n, 1)), params, rng=rng)
+        target = predict(e, params)[0]
         se = draws.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - target) <= 3 * se + 1e-12)
 

@@ -193,11 +193,6 @@ class TestTrainLoop:
 
 
 class TestConfig:
-    def test_grid_membership_helper(self):
-        assert config(batch_size=32, learning_rate=1e-5).in_standard_grid()
-        assert not config(batch_size=8).in_standard_grid()
-        assert not config(learning_rate=0.05).in_standard_grid()
-
     def test_validation(self):
         for bad in (dict(batch_size=0), dict(learning_rate=0.0),
                     dict(max_epochs=0), dict(patience=0), dict(seed=-1)):
@@ -221,7 +216,8 @@ class TestGrid:
         assert [c.learning_rate for c in grid] == [1e-5, 1e-5, 1e-5, 1e-5,
                                                    2e-5, 8e-6, 8e-6]
         assert [c.max_epochs for c in grid] == [7, 3, 5, 7, 5, 3, 7]
-        assert all(c.in_standard_grid() for c in grid)
+        assert all(c.batch_size in (16, 32, 64) and 8e-6 <= c.learning_rate <= 3e-5
+                   for c in grid)
 
     def test_ids_follow_config_order(self):
         train_set = make_instances("zho-res", 16, seed=0)
