@@ -16,16 +16,19 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, corpus
-from .corpus import (REGIMES, Instance, PairID, ParseError, Prediction, VAScore,
-                     format_va, pair_sort_key, parse_va)
+from .corpus import (REGIMES, Instance, PairID, ParseError, VAScore, format_va,
+                     pair_sort_key, parse_va)
 
 if TYPE_CHECKING:
-    from . import encoding, ensemble, trainer
+    import numpy as np
+
+    from . import encoding, metrics, trainer
 
 logger = logging.getLogger(__name__)
 
@@ -87,37 +90,76 @@ def _file_pair(path: Path) -> PairID:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _record_error(path: Path, i: int, problem: Exception | str) -> ParseError:
+    """One line naming record i of `path`: a KeyError names the missing field,
+    a TypeError a record that is not an object, any other problem the VA."""
+    if isinstance(problem, KeyError):
+        return ParseError(f"{path}: record {i}: field {problem.args[0]!r}: missing")
+    if isinstance(problem, TypeError):
+        return ParseError(f"{path}: record {i}: not an object")
+    return ParseError(f"{path}: record {i}: field 'VA': {problem}")
+
+
+def _check_unique(path: Path, keys: list[tuple[str, str]]) -> None:
+    """A ParseError naming the record that repeats an earlier (ID, Aspect) key."""
+    first_at = {}
+    for i, key in enumerate(keys):
+        if first_at.setdefault(key, i) != i:
+            raise ParseError(f"{path}: record {i}: duplicate (ID, Aspect) key "
+                             f"{key}, first at record {first_at[key]}")
+
+
 def load_instances(path: Path) -> list[Instance]:
-    """Instances of a per-pair file; a repeated (ID, Aspect) key is a ParseError."""
+    """Instances of a per-pair file.  A record without ID, Text or Aspect, a
+    bad VA or a repeated (ID, Aspect) key is a ParseError naming the record."""
     pair = _file_pair(path)
     rows = json.loads(path.read_text(encoding="utf-8"))
-    instances = [Instance(id=row["ID"], text=row["Text"], aspect=row["Aspect"],
-                          gold=parse_va(row["VA"]) if "VA" in row else None,
-                          pair=pair)
-                 for row in rows]
-    first_at = {}
-    for i, inst in enumerate(instances):
-        if first_at.setdefault(inst.key, i) != i:
-            raise ParseError(f"{path}: record {i}: duplicate (ID, Aspect) key "
-                             f"{inst.key}, first at record {first_at[inst.key]}")
+    instances = []
+    try:
+        for row in rows:
+            gold = parse_va(row["VA"]) if "VA" in row else None
+            instances.append(Instance(id=row["ID"], text=row["Text"],
+                                      aspect=row["Aspect"], gold=gold, pair=pair))
+    except (KeyError, TypeError, ParseError) as exc:
+        raise _record_error(path, len(instances), exc) from None
+    _check_unique(path, [inst.key for inst in instances])
     return instances
 
 
-def write_predictions(path: Path, preds: list[Prediction]) -> None:
-    write_json(path, [{"ID": p.id, "Aspect": p.aspect, "VA": format_va(p.va)}
-                      for p in preds])
+def write_predictions(path: Path, keys: list[tuple[str, str]],
+                      values: list[list[float]]) -> None:
+    """One {ID, Aspect, VA} record per key and (valence, arousal) row."""
+    write_json(path, [{"ID": rid, "Aspect": aspect, "VA": format_va(VAScore(*va))}
+                      for (rid, aspect), va in zip(keys, values)])
 
 
-def load_predictions(path: Path) -> list[Prediction]:
+def _prediction_rows(path: Path) -> tuple[list[tuple[str, str]], list[float]]:
+    """A prediction file's keys and its VA values flat as [v0, a0, v1, ...],
+    read without numpy; a record without ID, Aspect or a finite "v#a" VA is
+    a ParseError naming the path, the record and the field."""
     rows = json.loads(path.read_text(encoding="utf-8"))
-    preds = []
+    keys, flat, i = [], [], 0
     try:
-        for row in rows:
-            preds.append(Prediction(id=row["ID"], aspect=row["Aspect"],
-                                    va=parse_va(row["VA"])))
-    except ParseError as exc:
-        raise ParseError(f"{path}: record {len(preds)}: field 'VA': {exc}") from None
-    return preds
+        for i, row in enumerate(rows):
+            keys.append((row["ID"], row["Aspect"]))
+            valence, _, arousal = row["VA"].partition("#")
+            flat += (float(valence), float(arousal))
+    except (KeyError, TypeError) as exc:
+        raise _record_error(path, i, exc) from None
+    except (AttributeError, ValueError):
+        raise _record_error(path, i, f"not a 'v#a' string: {rows[i]['VA']!r}") from None
+    if not all(map(math.isfinite, flat)):
+        i = next(j for j, x in enumerate(flat) if not math.isfinite(x)) // 2
+        raise _record_error(path, i, f"non-finite VA value {rows[i]['VA']!r}")
+    return keys, flat
+
+
+def load_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """The (ID, Aspect) keys of a prediction (or gold instance) file in file
+    order and their (n, 2) float64 VA values; see `_prediction_rows`."""
+    import numpy as np
+    keys, flat = _prediction_rows(path)
+    return keys, np.array(flat, dtype=np.float64).reshape(-1, 2)
 
 
 def _pair_files(data_dir: Path, pairs_filter: set[str] | None) -> list[Path]:
@@ -299,7 +341,8 @@ def cmd_predict(args) -> int:
                 features[spec] = encoding.instance_features(instances, spec)
             preds = ckpt.predict(instances, features=features[spec])
             dest = out_dir / ckpt.id / f"{pair}.json"
-            write_predictions(dest, preds)
+            write_predictions(dest, [p.key for p in preds],
+                              [p.va.as_tuple() for p in preds])
             outputs.append(dest)
     write_manifest(out_dir, "predict", {"pairs": args.pairs}, inputs, outputs)
     logger.info("predict: %d checkpoints x %d pairs -> %s",
@@ -307,23 +350,36 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _load_columns(files: list[Path]) -> dict[PairID, metrics.Columns]:
+    """The columns of per-pair prediction (or gold) files, by pair."""
+    from .metrics import Columns
+    return {_file_pair(f): Columns(*load_predictions(f), str(f)) for f in files}
+
+
+def _load_gold(gold_dir: Path) -> dict[PairID, metrics.Columns]:
+    """Gold columns per pair, read like prediction files: a record without
+    VA, as in a test split, or a repeated (ID, Aspect) key is a ParseError."""
+    gold = _load_columns(_pair_files(gold_dir, None))
+    if not gold:
+        raise ParseError(f"{gold_dir}: no per-pair gold files")
+    for g in gold.values():
+        _check_unique(g.source, g.keys)
+    return gold
+
+
 def cmd_evaluate(args) -> int:
     from . import metrics
     pred_dir, gold_dir, out_dir = Path(args.pred), Path(args.gold), Path(args.out)
-    gold = _load_pair_map(gold_dir)
+    gold = _load_gold(gold_dir)
     preds = {}
-    for pair in gold:
+    for pair, ref in gold.items():
         path = pred_dir / f"{pair}.json"
         if not path.exists():
             print(f"error: missing prediction file {path}", file=sys.stderr)
             return 1
-        preds[pair] = load_predictions(path)
-        problem = _key_mismatch(path, preds[pair], gold_dir / f"{pair}.json",
-                                [inst.key for inst in gold[pair]])
-        if problem:
-            print(f"error: {problem}", file=sys.stderr)
-            return 1
-    report = metrics.evaluate(preds, gold)
+        preds[pair] = metrics.align_columns(
+            metrics.Columns(*load_predictions(path), str(path)), ref)
+    report = metrics.evaluate(preds, {p: g.values for p, g in gold.items()})
 
     inputs = {f"gold/{p}.json": sha256_file(gold_dir / f"{p}.json") for p in gold}
     inputs.update({f"pred/{p}.json": sha256_file(pred_dir / f"{p}.json")
@@ -338,72 +394,28 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _load_member(root: Path, member_id: str) -> dict[PairID, list[Prediction]]:
-    out = {}
-    for f in sorted((root / member_id).glob("*.json")):
-        out[_file_pair(f)] = load_predictions(f)
-    return out
-
-
-def _key_mismatch(path: Path, preds: list[Prediction], ref_path: Path,
-                  ref: list[tuple[str, str]]) -> str | None:
-    """One line naming `path` when its predictions fail to hold each
-    (ID, Aspect) key of the reference file `ref_path` exactly once."""
-    where = f"{path}: (ID, Aspect) keys differ from {ref_path}"
-    seen = set()
-    for p in preds:
-        if p.key in seen:
-            return f"{where}: duplicate key {p.key}"
-        seen.add(p.key)
-    missing = next((k for k in ref if k not in seen), None)
-    if missing is not None:
-        return f"{where}: first missing key {missing}"
-    ref_keys = set(ref)
-    extra = next((p.key for p in preds if p.key not in ref_keys), None)
-    return None if extra is None else f"{where}: first extra key {extra}"
-
-
-def _misaligned_file(members: list[ensemble.Member],
-                     gold: dict[PairID, list[Instance]], dev_root: Path,
-                     gold_dir: Path, test_root: Path | None) -> str | None:
-    """The first member file whose keys differ from its reference, described
-    in one line: the gold file on dev, the first member's file on test."""
-    pairs = sorted(gold, key=pair_sort_key)
-    refs = [("dev", dev_root, pair, gold_dir / f"{pair}.json",
-             [inst.key for inst in gold[pair]]) for pair in pairs]
-    if test_root is not None:
-        first = members[0]
-        refs += [("test", test_root, pair, test_root / first.id / f"{pair}.json",
-                  [p.key for p in first.test[pair]]) for pair in pairs]
-    for split, root, pair, ref_path, ref in refs:
-        for m in members:
-            problem = _key_mismatch(root / m.id / f"{pair}.json",
-                                    m.predictions(pair, split), ref_path, ref)
-            if problem:
-                return problem
-    return None
-
-
 def cmd_ensemble(args) -> int:
     from . import ensemble, metrics
     dev_root, gold_dir, out_dir = Path(args.dev_preds), Path(args.dev_gold), Path(args.out)
     test_root = Path(args.test_preds) if args.test_preds else None
     member_ids = sorted(p.name for p in dev_root.iterdir() if p.is_dir())
-    if not 2 <= len(member_ids) <= ensemble.MAX_POOL_SIZE:
+    least = max(2, args.min_size)
+    if not least <= len(member_ids) <= ensemble.MAX_POOL_SIZE:
         print(f"error: {dev_root} holds {len(member_ids)} member directories; "
-              f"need 2 to {ensemble.MAX_POOL_SIZE}", file=sys.stderr)
+              f"need {least} to {ensemble.MAX_POOL_SIZE}", file=sys.stderr)
         return 1
 
     members = []
     inputs = {}
     for mid in member_ids:
-        dev = _load_member(dev_root, mid)
-        test = _load_member(test_root, mid) if test_root else {}
+        dev = _load_columns(sorted((dev_root / mid).glob("*.json")))
+        test = (_load_columns(sorted((test_root / mid).glob("*.json")))
+                if test_root else {})
         members.append(ensemble.Member(id=mid, dev=dev, test=test))
         for pair in dev:
             inputs[f"dev/{mid}/{pair}.json"] = sha256_file(
                 dev_root / mid / f"{pair}.json")
-    gold = _load_pair_map(gold_dir)
+    gold = _load_gold(gold_dir)
     for pair in gold:
         inputs[f"gold/{pair}.json"] = sha256_file(gold_dir / f"{pair}.json")
 
@@ -426,17 +438,15 @@ def cmd_ensemble(args) -> int:
             print(f"error: no test predictions under {test_root} for "
                   f"{'; '.join(gaps)}", file=sys.stderr)
             return 1
-    misaligned = _misaligned_file(members, gold, dev_root, gold_dir, test_root)
-    if misaligned:
-        print(f"error: {misaligned}", file=sys.stderr)
-        return 1
-    pool = ensemble.CandidatePool(members)
+    # Aligns every member file; one whose keys differ is a ParseError naming it.
+    pool = ensemble.CandidatePool(members, dev_gold=gold)
     selection = ensemble.search(pool, gold, min_size=args.min_size,
                                 max_size=args.max_size)
     combined = {"dev": ensemble.apply(selection, pool, "dev")}
     if test_root is not None:
         combined["test"] = ensemble.apply(selection, pool, "test")
-    dev_report = metrics.evaluate(combined["dev"], gold)
+    dev_report = metrics.evaluate(combined["dev"],
+                                  {p: g.values for p, g in gold.items()})
 
     outputs = []
     sel_path = out_dir / "selection.json"
@@ -449,9 +459,10 @@ def cmd_ensemble(args) -> int:
     outputs.append(matrix_path)
 
     for split, by_pair in combined.items():
-        for pair, preds in by_pair.items():
+        for pair, values in by_pair.items():
             dest = out_dir / split / f"{pair}.json"
-            write_predictions(dest, preds)
+            write_predictions(dest, pool.reference[split][pair].keys,
+                              values.tolist())
             outputs.append(dest)
 
     report_path = out_dir / "dev_report.json"
@@ -460,9 +471,10 @@ def cmd_ensemble(args) -> int:
 
     if test_root is not None:
         sub_dir = out_dir / "submission"
-        for pair, preds in combined["test"].items():
+        for pair, values in combined["test"].items():
             dest = sub_dir / f"{pair}.json"
-            write_submission(dest, preds)
+            write_submission(dest, pool.reference["test"][pair].keys,
+                             values.tolist())
             outputs.append(dest)
 
     params = {"min_size": args.min_size, "max_size": args.max_size}
@@ -471,26 +483,23 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-def clamp_score(va: VAScore, lo: float = corpus.VA_MIN,
-                hi: float = corpus.VA_MAX) -> VAScore:
-    return VAScore(min(max(va.valence, lo), hi), min(max(va.arousal, lo), hi))
-
-
-def write_submission(path: Path, preds: list[Prediction], clamp: bool = True,
-                     precision: int = 2) -> int:
-    """Write a leaderboard-format file; returns how many values were clamped."""
+def write_submission(path: Path, keys: list[tuple[str, str]], values,
+                     clamp: bool = True, precision: int = 2) -> int:
+    """Write a leaderboard-format file from (valence, arousal) rows of
+    floats; returns how many values were clamped."""
+    lo, hi = corpus.VA_MIN, corpus.VA_MAX
     rows = []
     n_clamped = 0
-    for p in preds:
-        va = p.va
+    for (rid, aspect), (valence, arousal) in zip(keys, values):
+        va = VAScore(valence, arousal)
         if clamp:
-            clamped = clamp_score(va)
+            clamped = VAScore(min(max(valence, lo), hi), min(max(arousal, lo), hi))
             if clamped != va:
                 n_clamped += 1
-                logger.info("clamped %s/%s: %s -> %s", p.id, p.aspect,
+                logger.info("clamped %s/%s: %s -> %s", rid, aspect,
                             format_va(va), format_va(clamped))
             va = clamped
-        rows.append({"ID": p.id, "Aspect": p.aspect,
+        rows.append({"ID": rid, "Aspect": aspect,
                      "VA": format_va(va, precision)})
     write_json(path, rows)
     return n_clamped
@@ -502,14 +511,16 @@ def cmd_submit(args) -> int:
     if not files:
         print(f"error: no prediction files under {pred_dir}", file=sys.stderr)
         return 1
+    read = {f: _prediction_rows(f) for f in files}   # all before writing any
+    for f, (keys, _) in read.items():
+        _check_unique(f, keys)
     inputs, outputs = {}, []
     total_clamped = 0
-    for f in files:
+    for f, (keys, flat) in read.items():
         inputs[f.name] = sha256_file(f)
-        preds = load_predictions(f)
         dest = out_dir / f.name
-        total_clamped += write_submission(dest, preds, clamp=args.clamp,
-                                          precision=args.precision)
+        total_clamped += write_submission(dest, keys, zip(flat[0::2], flat[1::2]),
+                                          clamp=args.clamp, precision=args.precision)
         outputs.append(dest)
     write_manifest(out_dir, "submit",
                    {"clamp": args.clamp, "precision": args.precision,
@@ -521,6 +532,16 @@ def cmd_submit(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+def _at_least(low: int):
+    """An argparse type: an int no smaller than `low`."""
+    def check(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    check.__name__ = "int"   # argparse's "invalid int value" for non-numbers
+    return check
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -562,9 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-preds", help="matching root for test predictions")
     p.add_argument("--dev-gold", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-size", type=int, default=2)
-    p.add_argument("--max-size", type=int, default=None)
-    p.set_defaults(func=cmd_ensemble)
+    p.add_argument("--min-size", type=_at_least(1), default=2)
+    p.add_argument("--max-size", type=_at_least(1), default=None)
+    p.set_defaults(func=cmd_ensemble, parser=p)
 
     p = sub.add_parser("submit", help="export leaderboard-format files")
     p.add_argument("--pred", required=True)
@@ -572,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs")
     p.add_argument("--clamp", dest="clamp", action="store_true", default=True)
     p.add_argument("--no-clamp", dest="clamp", action="store_false")
-    p.add_argument("--precision", type=int, default=2)
+    p.add_argument("--precision", type=_at_least(0), default=2)
     p.set_defaults(func=cmd_submit)
 
     return parser
@@ -582,6 +603,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    if (args.command == "ensemble" and args.max_size is not None
+            and args.max_size < args.min_size):
+        args.parser.error(f"argument --max-size: {args.max_size} is below "
+                          f"--min-size {args.min_size}")
     try:
         return args.func(args)
     except ParseError as exc:

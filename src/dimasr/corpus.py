@@ -93,13 +93,9 @@ class VAScore:
     valence: float
     arousal: float
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.valence) and math.isfinite(self.arousal)
-
     def in_range(self, lo: float = VA_MIN, hi: float = VA_MAX) -> bool:
-        return (self.is_finite()
-                and lo <= self.valence <= hi
-                and lo <= self.arousal <= hi)
+        # nan and infinities fail the comparisons with finite bounds
+        return lo <= self.valence <= hi and lo <= self.arousal <= hi
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.valence, self.arousal)

@@ -6,7 +6,11 @@ min_size..max_size are scored by the dev RMSE of their element-wise averaged
 predictions, and the minimizer wins; ties go to the smaller subset, then to
 the lexicographically smallest id tuple, which makes the argmin unique and
 the search order-independent.  Test predictions play no role in the search
-and are only read when a selection is applied.
+and are only averaged when a selection is applied.
+
+The pool holds each pair and split as one (members, n, 2) tensor whose rows
+follow one reference key list, so the search and `apply` index arrays; an
+average is `tensor[list(subset)].mean(axis=0)`.
 
 The search stays exact and exhaustive but does not average every subset.
 With e_m member m's (n, 2) dev error and G_ij = sum(e_i * e_j) the pair's
@@ -24,67 +28,77 @@ from itertools import combinations
 
 import numpy as np
 
-from .corpus import PairID, VAScore, pair_sort_key
-from .metrics import Prediction, rmse_va, va_array
+from .corpus import PairID, pair_sort_key
+from .metrics import Columns, Prediction, align_columns, rmse_va, va_array
 
 MAX_POOL_SIZE = 12   # exhaustive search; beyond this the enumeration explodes
 
 
 @dataclass
 class Member:
-    """One candidate model's predictions, keyed by pair and split."""
+    """One candidate model's predictions, keyed by pair and split: per pair,
+    a list of Predictions or the columns of a prediction file."""
 
     id: str
-    dev: dict[PairID, list[Prediction]]
-    test: dict[PairID, list[Prediction]] = field(default_factory=dict)
-
-    def predictions(self, pair: PairID, split: str) -> list[Prediction]:
-        store = {"dev": self.dev, "test": self.test}.get(split)
-        if store is None:
-            raise ValueError(f"unknown split {split!r}")
-        if pair not in store:
-            raise ValueError(f"member {self.id} has no {split} predictions "
-                             f"for pair {pair}")
-        return store[pair]
+    dev: dict[PairID, list[Prediction] | Columns]
+    test: dict[PairID, list[Prediction] | Columns] = field(default_factory=dict)
 
 
-def _keyed(preds: list[Prediction], who: str) -> dict[tuple, VAScore]:
-    out = {}
-    for p in preds:
-        if p.key in out:
-            raise ValueError(f"{who}: duplicate prediction key {p.key}")
-        out[p.key] = p.va
-    return out
+def _columns(items: list | Columns, source: str) -> Columns:
+    """Columns as given, or a list of Predictions or gold-carrying Instances
+    turned into columns once."""
+    if isinstance(items, Columns):
+        return items
+    values = [item.va if isinstance(item, Prediction) else item.gold
+              for item in items]
+    missing = next((item.key for item, va in zip(items, values) if va is None), None)
+    if missing is not None:
+        raise ValueError(f"{source}: instance {missing} has no VA")
+    return Columns([item.key for item in items], va_array(values), source)
 
 
 class CandidatePool:
     """An ordered pool of 2..12 members covering the same pairs and instances.
 
-    Dev-side alignment is checked up front; the test side is validated only
-    when a selection is applied to it.
+    Each pair and split is one (members, n, 2) tensor whose rows follow a
+    reference key list: `dev_gold`'s on dev when given, else the first
+    member's.  Members are aligned to it up front, so a file with a
+    duplicate, missing or extra key fails here, naming the file.  A test
+    pair is held only when every member has it.
     """
 
-    def __init__(self, members: list[Member]):
+    def __init__(self, members: list[Member],
+                 dev_gold: dict[PairID, Columns] | None = None):
         if not 2 <= len(members) <= MAX_POOL_SIZE:
             raise ValueError(f"pool size must be in [2, {MAX_POOL_SIZE}], "
                              f"got {len(members)}")
         ids = [m.id for m in members]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate member ids: {ids}")
-        first = members[0]
-        pairs = set(first.dev)
+        pairs = set(members[0].dev)
         for m in members[1:]:
             if set(m.dev) != pairs:
                 raise ValueError(f"member {m.id} covers pairs "
                                  f"{sorted(map(str, m.dev))}, expected "
                                  f"{sorted(map(str, pairs))}")
-        for pair in pairs:
-            keys = set(k.key for k in first.dev[pair])
-            for m in members[1:]:
-                if set(k.key for k in m.dev[pair]) != keys:
-                    raise ValueError(f"member {m.id} is misaligned with "
-                                     f"{first.id} on pair {pair}")
         self.members = list(members)
+        self.reference: dict[str, dict[PairID, Columns]] = {"dev": {}, "test": {}}
+        self.tensors: dict[str, dict[PairID, np.ndarray]] = {"dev": {}, "test": {}}
+        for split in self.tensors:
+            for pair in self.pairs:
+                if not all(pair in getattr(m, split) for m in members):
+                    continue
+                files = [_columns(getattr(m, split)[pair],
+                                  f"member {m.id} {split} {pair}")
+                         for m in members]
+                ref = ((dev_gold or {}).get(pair, files[0]) if split == "dev"
+                       else files[0])
+                # Unique reference keys: a repeat in the reference file
+                # itself then shows up when that file is aligned to them.
+                ref = ref._replace(keys=list(dict.fromkeys(ref.keys)))
+                self.reference[split][pair] = ref
+                self.tensors[split][pair] = np.stack(
+                    [align_columns(f, ref) for f in files])
 
     def __len__(self) -> int:
         return len(self.members)
@@ -96,35 +110,6 @@ class CandidatePool:
     @property
     def pairs(self) -> list[PairID]:
         return sorted(self.members[0].dev, key=pair_sort_key)
-
-    def by_id(self, member_id: str) -> Member:
-        for m in self.members:
-            if m.id == member_id:
-                return m
-        raise ValueError(f"no member {member_id!r} in pool {self.ids}")
-
-
-def average_subset(members: list[Member], pair: PairID,
-                   split: str = "dev") -> list[Prediction]:
-    """Element-wise mean of the members' valence and arousal predictions.
-
-    Output order follows the first member; all members must predict exactly
-    the same (id, aspect) keys for the pair.
-    """
-    if not members:
-        raise ValueError("cannot average an empty subset")
-    base = members[0].predictions(pair, split)
-    keys = [p.key for p in base]
-    stacked = [va_array([p.va for p in base])]
-    for m in members[1:]:
-        keyed = _keyed(m.predictions(pair, split), m.id)
-        if set(keyed) != set(keys):
-            raise ValueError(f"member {m.id} is misaligned with {members[0].id} "
-                             f"on pair {pair} ({split})")
-        stacked.append(va_array([keyed[k] for k in keys]))
-    mean = np.mean(stacked, axis=0)
-    return [Prediction(id=k[0], aspect=k[1], va=VAScore(float(v), float(a)))
-            for k, (v, a) in zip(keys, mean)]
 
 
 @dataclass
@@ -150,16 +135,6 @@ class EnsembleSelection:
             },
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnsembleSelection":
-        per_pair = {
-            PairID.parse(name): SelectionEntry(subset=tuple(e["subset"]),
-                                               dev_rmse=e["dev_rmse"],
-                                               n_scored=e["n_scored"])
-            for name, e in d["per_pair"].items()
-        }
-        return cls(per_pair=per_pair, member_ids=list(d["member_ids"]))
-
     def render_membership_matrix(self) -> str:
         """Check-mark matrix: one row per pair, one column per member, the
         selected subset size last."""
@@ -178,13 +153,14 @@ class EnsembleSelection:
             for row in rows)
 
 
-def search(pool: CandidatePool, dev_gold: dict[PairID, list],
+def search(pool: CandidatePool, dev_gold: dict[PairID, list | Columns],
            min_size: int = 2, max_size: int | None = None) -> EnsembleSelection:
     """Exhaustively score every subset per pair and keep the dev-RMSE minimizer.
 
-    dev_gold maps each pair to gold-carrying items (Instances or Predictions)
-    aligned by (id, aspect).  Deterministic: minimization breaks ties by
-    subset size, then by the sorted id tuple.
+    dev_gold maps each pair to gold columns or gold-carrying items
+    (Instances or Predictions), aligned to the pool's dev keys by
+    (id, aspect).  Deterministic: minimization breaks ties by subset size,
+    then by the sorted id tuple.
     """
     if max_size is None:
         max_size = len(pool)
@@ -194,10 +170,11 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list],
         raise ValueError(f"pool of {len(pool)} cannot satisfy min_size {min_size}")
     max_size = min(max_size, len(pool))
 
-    members = sorted(pool.members, key=lambda m: m.id)
+    order = sorted(range(len(pool)), key=lambda i: pool.ids[i])
+    ids = [pool.ids[i] for i in order]
     subsets = [subset for k in range(min_size, max_size + 1)
-               for subset in combinations(range(len(members)), k)]
-    membership = np.zeros((len(subsets), len(members)))
+               for subset in combinations(range(len(ids)), k)]
+    membership = np.zeros((len(subsets), len(ids)))
     for row, subset in enumerate(subsets):
         membership[row, list(subset)] = 1.0
     sizes = membership.sum(axis=1)
@@ -205,29 +182,16 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list],
     for pair in pool.pairs:
         if pair not in dev_gold:
             raise ValueError(f"no dev gold for pair {pair}")
-        items = []
-        for g in dev_gold[pair]:
-            if not isinstance(g, Prediction):
-                if g.gold is None:
-                    raise ValueError(f"dev gold instance {g.key} has no VA")
-                g = Prediction(id=g.id, aspect=g.aspect, va=g.gold)
-            items.append(g)
-        gold_keyed = _keyed(items, "dev gold")
-        keys = [p.key for p in members[0].predictions(pair, "dev")]
-        if set(keys) != set(gold_keyed):
-            raise ValueError(f"dev gold is misaligned with the pool on pair {pair}")
-        if not keys:
+        ref = pool.reference["dev"][pair]
+        gold_arr = align_columns(_columns(dev_gold[pair], f"dev gold {pair}"),
+                                 ref)
+        if not ref.keys:
             raise ValueError(f"no dev instances for pair {pair}")
-        gold_arr = va_array([gold_keyed[k] for k in keys])
-        stacks = []
-        for m in members:
-            keyed = _keyed(m.predictions(pair, "dev"), m.id)
-            stacks.append(va_array([keyed[k] for k in keys]))
-        tensor = np.stack(stacks)   # (n_members, n_instances, 2)
+        tensor = pool.tensors["dev"][pair][order]   # members sorted by id
 
-        errors = (tensor - gold_arr).reshape(len(members), -1)
+        errors = (tensor - gold_arr).reshape(len(ids), -1)
         gram = errors @ errors.T
-        n = len(keys)
+        n = len(ref.keys)
         mse = (np.einsum("sm,mk,sk->s", membership, gram, membership)
                / (n * sizes ** 2))
         # Gram scores round at the scale of the errors, direct averaging at
@@ -238,7 +202,7 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list],
         tol = 1e-9 * worst * (worst + scale)
         best = min(
             (rmse_va(tensor[list(subsets[i])].mean(axis=0), gold_arr),
-             len(subsets[i]), tuple(members[j].id for j in subsets[i]))
+             len(subsets[i]), tuple(ids[j] for j in subsets[i]))
             for i in np.flatnonzero(mse <= mse.min() + tol))
         per_pair[pair] = SelectionEntry(subset=best[2], dev_rmse=best[0],
                                         n_scored=len(subsets))
@@ -246,12 +210,19 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list],
 
 
 def apply(selection: EnsembleSelection, pool: CandidatePool,
-          split: str) -> dict[PairID, list[Prediction]]:
-    """Average each pair's selected members on the requested split."""
+          split: str) -> dict[PairID, np.ndarray]:
+    """Average each pair's selected members on the requested split: (n, 2)
+    values whose rows follow `pool.reference[split][pair].keys`."""
     if split not in ("dev", "test"):
         raise ValueError(f"split must be 'dev' or 'test', got {split!r}")
-    out: dict[PairID, list[Prediction]] = {}
+    ids = pool.ids
+    out: dict[PairID, np.ndarray] = {}
     for pair, entry in selection.per_pair.items():
-        members = [pool.by_id(mid) for mid in entry.subset]
-        out[pair] = average_subset(members, pair, split)
+        if not entry.subset:
+            raise ValueError(f"cannot average an empty subset for pair {pair}")
+        if pair not in pool.tensors[split]:
+            raise ValueError(f"some member has no {split} predictions for "
+                             f"pair {pair}")
+        rows = [ids.index(mid) for mid in entry.subset]   # names an unknown id
+        out[pair] = pool.tensors[split][pair][rows].mean(axis=0)
     return out

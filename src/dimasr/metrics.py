@@ -1,12 +1,14 @@
-"""Joint valence-arousal RMSE and per-pair evaluation reports."""
+"""Joint valence-arousal RMSE, per-pair evaluation reports, and the one
+(ID, Aspect) aligner of prediction columns."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Instance, PairID, Prediction, VAScore, pair_sort_key
+from .corpus import PairID, ParseError, Prediction, VAScore, pair_sort_key  # noqa: F401
 
 
 def va_array(values) -> np.ndarray:
@@ -21,6 +23,39 @@ def va_array(values) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected (n, 2) VA values, got shape {arr.shape}")
     return arr
+
+
+class Columns(NamedTuple):
+    """A prediction or gold file as columns: (ID, Aspect) keys in file order,
+    their (n, 2) VA values, and the name error messages give the file."""
+
+    keys: list[tuple[str, str]]
+    values: np.ndarray
+    source: str
+
+
+def align_columns(columns: Columns, ref: Columns) -> np.ndarray:
+    """`columns.values` reordered to the keys of `ref`, whose keys are unique.
+
+    Equal key lists return the values unchanged.  Otherwise each reference
+    key must occur exactly once and no other key may; the first duplicate,
+    missing or extra key raises a one-line ParseError naming both sources.
+    """
+    if columns.keys == ref.keys:
+        return columns.values
+    where = f"{columns.source}: (ID, Aspect) keys differ from {ref.source}"
+    row = {}
+    for i, key in enumerate(columns.keys):
+        if row.setdefault(key, i) != i:
+            raise ParseError(f"{where}: duplicate key {key}")
+    missing = next((k for k in ref.keys if k not in row), None)
+    if missing is not None:
+        raise ParseError(f"{where}: first missing key {missing}")
+    if len(row) != len(ref.keys):
+        ref_keys = set(ref.keys)
+        extra = next(k for k in columns.keys if k not in ref_keys)
+        raise ParseError(f"{where}: first extra key {extra}")
+    return columns.values[[row[k] for k in ref.keys]]
 
 
 def rmse_va(preds, golds) -> float:
@@ -71,49 +106,17 @@ class EvalReport:
                           row("n", counts)])
 
 
-def _gold_map(values) -> dict[tuple[str, str], VAScore]:
-    out: dict[tuple[str, str], VAScore] = {}
-    for item in values:
-        if isinstance(item, Instance):
-            if item.gold is None:
-                raise ValueError(f"instance {item.key} has no gold VA")
-            key, va = item.key, item.gold
-        else:
-            key, va = item.key, item.va
-        if key in out:
-            raise ValueError(f"duplicate instance key {key}")
-        out[key] = va
-    return out
-
-
-def align(preds: list[Prediction], golds) -> tuple[np.ndarray, np.ndarray]:
-    """Match predictions to golds by (id, aspect) key, in gold order."""
-    pred_map = _gold_map(preds)
-    gold_map = _gold_map(golds)
-    missing = [k for k in gold_map if k not in pred_map]
-    if missing:
-        raise ValueError(f"missing predictions for {len(missing)} instances, "
-                         f"first: {missing[0]}")
-    extra = [k for k in pred_map if k not in gold_map]
-    if extra:
-        raise ValueError(f"predictions for {len(extra)} unknown instances, "
-                         f"first: {extra[0]}")
-    keys = list(gold_map)
-    return (va_array([pred_map[k] for k in keys]),
-            va_array([gold_map[k] for k in keys]))
-
-
-def evaluate(predictions: dict[PairID, list[Prediction]],
-             gold: dict[PairID, list]) -> EvalReport:
-    """Per-pair rmse_va plus the unweighted mean over pairs."""
+def evaluate(predictions: dict[PairID, np.ndarray],
+             gold: dict[PairID, np.ndarray]) -> EvalReport:
+    """Per-pair rmse_va plus the unweighted mean over pairs, from (n, 2)
+    predictions already aligned row for row with the gold (align_columns)."""
     per_pair: dict[PairID, float] = {}
     n_per_pair: dict[PairID, int] = {}
     for pair in sorted(gold, key=pair_sort_key):
         if pair not in predictions:
             raise ValueError(f"no predictions for pair {pair}")
-        p, g = align(predictions[pair], gold[pair])
-        per_pair[pair] = rmse_va(p, g)
-        n_per_pair[pair] = p.shape[0]
+        per_pair[pair] = rmse_va(predictions[pair], gold[pair])
+        n_per_pair[pair] = len(gold[pair])
     if not per_pair:
         raise ValueError("no pairs to evaluate")
     average = float(np.mean(list(per_pair.values())))

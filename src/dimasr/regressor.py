@@ -50,9 +50,12 @@ def bound(y: np.ndarray) -> np.ndarray:
     one ulp into the interior, so the strict-range invariant holds for every
     finite input.
     """
-    y = np.asarray(y, dtype=np.float64)
-    out = BOUND_LO + BOUND_SPAN * sigmoid(y)
-    return np.clip(out, np.nextafter(BOUND_LO, BOUND_HI),
+    return _scale_sigmoid(sigmoid(y))
+
+
+def _scale_sigmoid(s: np.ndarray) -> np.ndarray:
+    """bound() from an already computed sigmoid(y): 1 + 8 * s, one ulp inside."""
+    return np.clip(BOUND_LO + BOUND_SPAN * s, np.nextafter(BOUND_LO, BOUND_HI),
                    np.nextafter(BOUND_HI, BOUND_LO))
 
 
@@ -120,16 +123,16 @@ def forward_cached(feats: np.ndarray, params: HeadParams,
     if e.shape[1] != params.hidden_size:
         raise ValueError(
             f"feature size {e.shape[1]} does not match head size {params.hidden_size}")
-    mask = 1.0   # no dropout; e * 1.0 equals e bit for bit
+    mask, h = 1.0, e   # no dropout: e * 1.0 would equal e bit for bit
     if train and params.dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training forward with dropout needs an rng")
         mask = _dropout_mask(e.shape, params.dropout_rate, rng)
-    h = e * mask
+        h = e * mask
     y = h @ params.W.T + params.b
     if params.bounded:
         s = sigmoid(y)
-        pred = bound(y)
+        pred = _scale_sigmoid(s)
     else:
         s = None
         pred = y

@@ -9,7 +9,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimasr import cli, encoding, ensemble, trainer
 from dimasr.corpus import VA_MAX, VA_MIN, parse_va
@@ -102,6 +105,18 @@ def single_error_line(capsys) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     return err[0]
+
+
+def copy_without_field(src: Path, dest: Path, field: str,
+                       record: int = 1) -> Path:
+    """Copy the per-pair dir src to dest with `field` deleted from one
+    record of its first pair's file; returns that file."""
+    shutil.copytree(src, dest)
+    path = dest / f"{SYNTH_PAIRS[0]}.json"
+    rows = json.loads(path.read_text())
+    del rows[record][field]
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    return path
 
 
 PIPELINE_SECONDS = {}
@@ -304,6 +319,17 @@ class TestPredictStage:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("field", ["ID", "Text", "Aspect"])
+    def test_instance_record_without_field_names_record(self, pipeline,
+                                                        tmp_path, capsys, field):
+        bad = copy_without_field(pipeline / "insts/dev", tmp_path / "data", field)
+        out = tmp_path / "preds"
+        assert run(["predict", "--ckpts", str(pipeline / "ckpts"),
+                    "--data", str(tmp_path / "data"), "--out", str(out)]) == 1
+        assert single_error_line(capsys) == \
+            f"error: {bad}: record 1: field {field!r}: missing"
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", ["cut-header", "short-payload",
                                         "bad-magic"])
     def test_damaged_checkpoint_names_path(self, pipeline, tmp_path, capsys,
@@ -365,6 +391,30 @@ class TestEvaluateStage:
         assert err.startswith(f"error: {bad}: ")
         assert str(gold / bad.name) in err
         assert f"{'missing' if damage == 'cut' else 'duplicate'} key {key}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["ID", "Aspect", "VA"])
+    def test_prediction_record_without_field_names_record(self, pipeline,
+                                                          tmp_path, capsys,
+                                                          field):
+        bad = copy_without_field(pipeline / "ens/dev", tmp_path / "preds", field)
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--pred", str(tmp_path / "preds"),
+                    "--gold", str(pipeline / "insts/dev"),
+                    "--out", str(out)]) == 1
+        assert single_error_line(capsys) == \
+            f"error: {bad}: record 1: field {field!r}: missing"
+        assert not out.exists()
+
+    def test_gold_without_va_names_file_and_record(self, pipeline, tmp_path,
+                                                   capsys):
+        # A test split carries no VA; passing it as gold is a one-line error.
+        gold = pipeline / "insts/test"
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--pred", str(pipeline / "ens/test"),
+                    "--gold", str(gold), "--out", str(out)]) == 1
+        assert single_error_line(capsys) == \
+            f"error: {gold / SYNTH_PAIRS[0]}.json: record 0: field 'VA': missing"
         assert not out.exists()
 
     def test_duplicate_gold_record_names_file(self, pipeline, tmp_path, capsys):
@@ -549,6 +599,27 @@ class TestEnsembleStage:
         assert single_error_line(capsys) == expected
         assert not out.exists()
 
+    def test_test_split_as_dev_gold_names_file_and_record(self, pipeline,
+                                                          tmp_path, capsys):
+        gold = pipeline / "insts/test"
+        out = tmp_path / "ens"
+        assert run(["ensemble", "--dev-preds", str(pipeline / "preds/test"),
+                    "--dev-gold", str(gold), "--out", str(out)]) == 1
+        assert single_error_line(capsys) == \
+            f"error: {gold / SYNTH_PAIRS[0]}.json: record 0: field 'VA': missing"
+        assert not out.exists()
+
+    def test_min_size_above_pool_rejected(self, pipeline, tmp_path, capsys):
+        root = tmp_path / "preds"
+        self.copy_members(pipeline, root)
+        out = tmp_path / "ens"
+        assert run(["ensemble", "--dev-preds", str(root),
+                    "--dev-gold", str(pipeline / "insts/dev"),
+                    "--out", str(out), "--min-size", "3"]) == 1
+        err = single_error_line(capsys)
+        assert str(root) in err and "holds 2 member" in err and "need 3" in err
+        assert not out.exists()
+
     def test_canonical_json_rejects_nan(self):
         with pytest.raises(ValueError):
             cli.canonical_json({"dev_rmse": float("nan")})
@@ -592,6 +663,79 @@ class TestSubmitStage:
                     "--precision", "4"]) == 0
         assert json.loads((out / "zzz-res.json").read_text())[0]["VA"] == \
             "5.1235#4.0000"
+
+
+    def test_repeated_key_rejected_before_writing(self, tmp_path, capsys):
+        pred_dir = tmp_path / "p"
+        pred_dir.mkdir()
+        rows = [{"ID": "r0", "Aspect": "x", "VA": "5.0#4.0"},
+                {"ID": "r1", "Aspect": "x", "VA": "6.0#4.0"},
+                {"ID": "r0", "Aspect": "x", "VA": "5.5#4.5"}]
+        (pred_dir / "aaa-res.json").write_text(json.dumps(rows[:2]))
+        bad = pred_dir / "zzz-res.json"
+        bad.write_text(json.dumps(rows))
+        out = tmp_path / "sub"
+        assert run(["submit", "--pred", str(pred_dir), "--out", str(out)]) == 1
+        assert single_error_line(capsys) == (
+            f"error: {bad}: record 2: duplicate (ID, Aspect) key "
+            f"('r0', 'x'), first at record 0")
+        assert not out.exists()
+
+
+class TestFlagValidation:
+    """Out-of-range flags stop in argparse: exit 2 and its usage line."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["submit", "--precision", "-1"], "argument --precision: must be >= 0"),
+        (["ensemble", "--min-size", "0"], "argument --min-size: must be >= 1"),
+        (["ensemble", "--max-size", "0"], "argument --max-size: must be >= 1"),
+        (["ensemble", "--min-size", "3", "--max-size", "2"],
+         "argument --max-size: 2 is below --min-size 3"),
+    ])
+    def test_bad_flag_exits_2_with_usage(self, tmp_path, capsys, argv, message):
+        paths = {"submit": ["--pred", "p", "--out", str(tmp_path / "out")],
+                 "ensemble": ["--dev-preds", "d", "--dev-gold", "g",
+                              "--out", str(tmp_path / "out")]}[argv[0]]
+        with pytest.raises(SystemExit) as exc:
+            run(argv[:1] + paths + argv[1:])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: dimasr {argv[0]} ")
+        assert f"dimasr {argv[0]}: error: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestPredictionFiles:
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(st.tuples(st.text(), st.text(), finite, finite),
+                            max_size=20))
+    def test_write_then_load_round_trips(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("rt") / "aaa-res.json"
+        keys = [(rid, aspect) for rid, aspect, _, _ in records]
+        values = np.array([(v, a) for _, _, v, a in records],
+                          dtype=np.float64).reshape(-1, 2)
+        cli.write_predictions(path, keys, values.tolist())
+        got_keys, got_values = cli.load_predictions(path)
+        assert got_keys == keys
+        assert got_values.dtype == np.float64 and got_values.shape == values.shape
+        assert got_values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("va, detail", [
+        ("5.0", "not a 'v#a' string: '5.0'"),
+        ("5.0#x", "not a 'v#a' string: '5.0#x'"),
+        (7.5, "not a 'v#a' string: 7.5"),
+        ("5.0#inf", "non-finite VA value '5.0#inf'"),
+    ])
+    def test_bad_va_names_record_and_field(self, tmp_path, va, detail):
+        path = tmp_path / "aaa-res.json"
+        path.write_text(json.dumps([{"ID": "r0", "Aspect": "x", "VA": "5#5"},
+                                    {"ID": "r1", "Aspect": "x", "VA": va}]))
+        with pytest.raises(cli.ParseError) as exc:
+            cli.load_predictions(path)
+        assert str(exc.value) == f"{path}: record 1: field 'VA': {detail}"
 
 
 class TestManifests:

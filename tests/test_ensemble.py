@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -7,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimasr.corpus import PairID, VAScore
+from dimasr.corpus import PairID, ParseError, VAScore
 from dimasr.ensemble import (
     CandidatePool,
     EnsembleSelection,
     Member,
-    average_subset,
+    SelectionEntry,
     search,
 )
 from dimasr.ensemble import apply as apply_selection
-from dimasr.metrics import Prediction, rmse_va
+from dimasr.metrics import Columns, Prediction, rmse_va, va_array
 from synth import make_instances
 
 PAIRS = [PairID.parse(p) for p in ("aaa-res", "bbb-lap")]
@@ -55,6 +56,22 @@ def make_pool(n_members=4, scale=0.8, pairs=PAIRS):
     return CandidatePool(members), {p: dev for p, (dev, _) in gold.items()}
 
 
+def keyed_average(members, pair, split="dev"):
+    """apply() of a selection holding every member on `pair`, keyed by
+    (id, aspect)."""
+    pool = CandidatePool(members)
+    entry = SelectionEntry(subset=tuple(m.id for m in members), dev_rmse=0.0,
+                           n_scored=1)
+    selection = EnsembleSelection(per_pair={pair: entry}, member_ids=pool.ids)
+    values = apply_selection(selection, pool, split)[pair]
+    return dict(zip(pool.reference[split][pair].keys, map(tuple, values)))
+
+
+def keyed_apply(selection, pool, split, pair):
+    return dict(zip(pool.reference[split][pair].keys,
+                    apply_selection(selection, pool, split)[pair]))
+
+
 class TestPoolValidation:
     def test_size_limits(self):
         gold = gold_fixture()
@@ -84,12 +101,57 @@ class TestPoolValidation:
         gold = gold_fixture()
         a = noisy_member("M1", gold, 1.0, 0)
         b = noisy_member("M2", gold, 1.0, 1)
+        cut = b.dev[PAIRS[0]][-1]
         b.dev[PAIRS[0]] = b.dev[PAIRS[0]][:-1]
-        with pytest.raises(ValueError, match="misaligned"):
+        with pytest.raises(ParseError, match=re.escape(
+                f"member M2 dev {PAIRS[0]}: (ID, Aspect) keys differ from "
+                f"member M1 dev {PAIRS[0]}: first missing key {cut.key}")):
+            CandidatePool([a, b])
+
+    def test_rows_follow_dev_gold_whatever_the_file_order(self):
+        gold = gold_fixture()
+        a = noisy_member("M1", gold, 1.0, 0)
+        b = noisy_member("M2", gold, 1.0, 1)
+        shuffled = Member(id="M2", dev={p: list(reversed(v))
+                                        for p, v in b.dev.items()})
+        dev_gold = {p: Columns([i.key for i in dev], None, f"gold/{p}.json")
+                    for p, (dev, _) in gold.items()}
+        pool = CandidatePool([a, shuffled], dev_gold=dev_gold)
+        for pair, (dev, _) in gold.items():
+            assert pool.reference["dev"][pair].keys == [i.key for i in dev]
+            np.testing.assert_array_equal(
+                pool.tensors["dev"][pair],
+                [va_array([p.va for p in m.dev[pair]]) for m in (a, b)])
+
+    def test_member_missing_from_gold_keys_names_gold(self):
+        gold = gold_fixture()
+        a = noisy_member("M1", gold, 1.0, 0)
+        b = noisy_member("M2", gold, 1.0, 1)
+        dev, _ = gold[PAIRS[0]]
+        dev_gold = {PAIRS[0]: Columns([i.key for i in dev[1:]], None,
+                                      "gold/aaa-res.json")}
+        with pytest.raises(ParseError, match=re.escape(
+                f"member M1 dev {PAIRS[0]}: (ID, Aspect) keys differ from "
+                f"gold/aaa-res.json: first extra key {dev[0].key}")):
+            CandidatePool([a, b], dev_gold=dev_gold)
+
+    def test_duplicate_in_first_test_member_rejected(self):
+        # The first member's test file is the reference; a repeated key in
+        # it must not pass as "equal to itself".
+        gold = gold_fixture()
+        a = noisy_member("M1", gold, 1.0, 0)
+        b = noisy_member("M2", gold, 1.0, 1)
+        a.test[PAIRS[1]] = a.test[PAIRS[1]] + a.test[PAIRS[1]][:1]
+        with pytest.raises(ParseError, match=re.escape(
+                f"member M1 test {PAIRS[1]}: (ID, Aspect) keys differ from "
+                f"member M1 test {PAIRS[1]}: duplicate key "
+                f"{a.test[PAIRS[1]][0].key}")):
             CandidatePool([a, b])
 
 
 class TestAverageSubset:
+    """The averaging `apply` does: tensor[list(subset)].mean(axis=0)."""
+
     def two_members(self, a_va, b_va):
         preds_a = [Prediction(id="r1", aspect="x", va=VAScore(*a_va))]
         preds_b = [Prediction(id="r1", aspect="x", va=VAScore(*b_va))]
@@ -98,55 +160,57 @@ class TestAverageSubset:
 
     def test_midpoint(self):
         a, b = self.two_members((4.0, 6.0), (6.0, 4.0))
-        out = average_subset([a, b], PAIRS[0])
-        assert out[0].va == VAScore(5.0, 5.0)
+        assert keyed_average([a, b], PAIRS[0]) == {("r1", "x"): (5.0, 5.0)}
 
     def test_identical_members_idempotent(self):
         gold = gold_fixture()
         m = noisy_member("M1", gold, 1.0, 0)
         twin = Member(id="M2", dev=m.dev, test=m.test)
-        out = average_subset([m, twin], PAIRS[0])
-        assert [p.va for p in out] == [p.va for p in m.dev[PAIRS[0]]]
+        out = keyed_average([m, twin], PAIRS[0])
+        assert list(out.values()) == [p.va.as_tuple() for p in m.dev[PAIRS[0]]]
 
     def test_matches_scalar_loop_oracle(self):
         pool, _ = make_pool(3)
         for pair in PAIRS:
-            got = average_subset(pool.members, pair)
-            base = {p.key: p.va for p in pool.members[0].dev[pair]}
-            for pred in got:
+            got = keyed_average(pool.members, pair)
+            for key, (v_got, a_got) in got.items():
                 vals = []
                 for m in pool.members:
-                    matching = [p for p in m.dev[pair] if p.key == pred.key]
+                    matching = [p for p in m.dev[pair] if p.key == key]
                     vals.append(matching[0].va)
                 v = sum(s.valence for s in vals) / len(vals)
                 a = sum(s.arousal for s in vals) / len(vals)
-                assert abs(pred.va.valence - v) < 1e-12
-                assert abs(pred.va.arousal - a) < 1e-12
-            assert [p.key for p in got] == list(base)
+                assert abs(v_got - v) < 1e-12
+                assert abs(a_got - a) < 1e-12
+            assert list(got) == [p.key for p in pool.members[0].dev[pair]]
 
     def test_misaligned_keys_rejected(self):
         a, b = self.two_members((4.0, 6.0), (6.0, 4.0))
-        b.dev[PAIRS[0]] = [Prediction(id="other", aspect="x",
-                                      va=VAScore(5.0, 5.0))]
-        with pytest.raises(ValueError, match="misaligned"):
-            average_subset([a, b], PAIRS[0])
+        a.test[PAIRS[0]] = a.dev[PAIRS[0]]
+        b.test[PAIRS[0]] = [Prediction(id="other", aspect="x",
+                                       va=VAScore(5.0, 5.0))]
+        with pytest.raises(ParseError, match="first missing key"):
+            keyed_average([a, b], PAIRS[0], "test")
 
     def test_empty_subset_rejected(self):
+        pool, gold = make_pool(2)
+        selection = search(pool, gold)
+        selection.per_pair[PAIRS[0]].subset = ()
         with pytest.raises(ValueError, match="empty"):
-            average_subset([], PAIRS[0])
+            apply_selection(selection, pool, "dev")
 
     def test_average_within_member_envelope(self):
         pool, _ = make_pool(5)
         for pair in PAIRS:
-            avg = {p.key: p.va for p in average_subset(pool.members, pair)}
+            avg = keyed_average(pool.members, pair)
             stacks = {p.key: [] for p in pool.members[0].dev[pair]}
             for m in pool.members:
                 for p in m.dev[pair]:
                     stacks[p.key].append(p.va)
             for key, vas in stacks.items():
-                for attr in ("valence", "arousal"):
+                for dim, attr in enumerate(("valence", "arousal")):
                     values = [getattr(v, attr) for v in vas]
-                    got = getattr(avg[key], attr)
+                    got = avg[key][dim]
                     assert min(values) - 1e-12 <= got <= max(values) + 1e-12
 
 
@@ -242,8 +306,7 @@ class TestSearch:
             gold_list = gold[pair]
             for k in range(2, 6):
                 for subset in combinations(by_id, k):
-                    avg = average_subset([by_id[i] for i in subset], pair)
-                    keyed = {p.key: p.va for p in avg}
+                    keyed = keyed_average([by_id[i] for i in subset], pair)
                     score = rmse_va([keyed[i.key] for i in gold_list],
                                     [i.gold for i in gold_list])
                     assert entry.dev_rmse <= score + 1e-12
@@ -345,7 +408,7 @@ class TestSearchProperties:
         assert entry.subset == best[2]
         assert entry.n_scored == n_scored
         assert abs(entry.dev_rmse - best[0]) <= 1e-12
-        keyed = {p.key: p.va for p in apply_selection(selection, pool, "dev")[pair]}
+        keyed = keyed_apply(selection, pool, "dev", pair)
         assert entry.dev_rmse == rmse_va([keyed[i.key] for i in gold[pair]],
                                          [i.gold for i in gold[pair]])
 
@@ -354,9 +417,8 @@ class TestApply:
     def test_dev_round_trip_reproduces_recorded_rmse(self):
         pool, gold = make_pool(4)
         selection = search(pool, gold)
-        combined = apply_selection(selection, pool, "dev")
-        for pair, preds in combined.items():
-            keyed = {p.key: p.va for p in preds}
+        for pair in selection.per_pair:
+            keyed = keyed_apply(selection, pool, "dev", pair)
             score = rmse_va([keyed[i.key] for i in gold[pair]],
                             [i.gold for i in gold[pair]])
             assert score == selection.per_pair[pair].dev_rmse
@@ -392,13 +454,6 @@ class TestApply:
 
 
 class TestSelectionSerialization:
-    def test_dict_round_trip(self):
-        pool, gold = make_pool(4)
-        selection = search(pool, gold)
-        clone = EnsembleSelection.from_dict(selection.to_dict())
-        assert clone.member_ids == selection.member_ids
-        assert clone.per_pair == selection.per_pair
-
     def test_membership_matrix_shape(self):
         pool, gold = make_pool(4)
         selection = search(pool, gold)

@@ -1,11 +1,14 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dimasr.corpus import PairID, VAScore
-from dimasr.metrics import EvalReport, Prediction, align, evaluate, rmse_va
+from dimasr.corpus import PairID, ParseError, VAScore
+from dimasr.metrics import Columns, EvalReport, align_columns, evaluate, rmse_va
 from synth import make_instances
 
 
@@ -15,12 +18,6 @@ def brute_force_rmse(preds, golds):
     for (vp, ap), (vg, ag) in zip(preds, golds):
         total += (vp - vg) ** 2 + (ap - ag) ** 2
     return math.sqrt(total / len(preds))
-
-
-def preds_for(instances, offset=0.0):
-    return [Prediction(id=i.id, aspect=i.aspect,
-                       va=VAScore(i.gold.valence + offset, i.gold.arousal))
-            for i in instances]
 
 
 class TestRmseVA:
@@ -71,45 +68,76 @@ class TestRmseVA:
             rmse_va([], [])
 
 
+def columns_for(instances, offset=0.0, source="pred.json"):
+    return Columns([i.key for i in instances],
+                   np.array([[i.gold.valence + offset, i.gold.arousal]
+                             for i in instances]), source)
+
+
 class TestAlign:
+    """align_columns: the one (ID, Aspect) aligner of evaluate and ensemble."""
+
+    def test_equal_order_returns_values_unchanged(self):
+        instances = make_instances("zho-res", 10, seed=0)
+        cols = columns_for(instances, offset=0.5)
+        ref = columns_for(instances, source="gold.json")
+        assert align_columns(cols, ref) is cols.values
+
     def test_alignment_by_key_not_position(self):
         instances = make_instances("zho-res", 10, seed=0)
-        preds = preds_for(instances, offset=0.5)
-        shuffled = list(reversed(preds))
-        p, g = align(shuffled, instances)
-        np.testing.assert_allclose(p[:, 0] - g[:, 0], 0.5)
+        cols = columns_for(list(reversed(instances)), offset=0.5)
+        ref = columns_for(instances, source="gold.json")
+        p = align_columns(cols, ref)
+        np.testing.assert_allclose(p[:, 0] - ref.values[:, 0], 0.5)
+        np.testing.assert_array_equal(p[:, 1], ref.values[:, 1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(perm=st.permutations(range(8)))
+    def test_any_order_aligns_row_for_row(self, perm):
+        instances = make_instances("zho-res", 8, seed=1)
+        shuffled = [instances[i] for i in perm]
+        p = align_columns(columns_for(shuffled), columns_for(instances))
+        np.testing.assert_array_equal(p, columns_for(instances).values)
 
     def test_missing_prediction_named(self):
         instances = make_instances("zho-res", 3, seed=0)
-        with pytest.raises(ValueError, match="missing predictions"):
-            align(preds_for(instances)[:-1], instances)
+        with pytest.raises(ParseError, match=re.escape(
+                f"pred.json: (ID, Aspect) keys differ from gold.json: "
+                f"first missing key {instances[1].key}")):
+            align_columns(columns_for([instances[0], instances[2]]),
+                          columns_for(instances, source="gold.json"))
 
     def test_unknown_prediction_named(self):
         instances = make_instances("zho-res", 3, seed=0)
-        extra = preds_for(make_instances("zho-res", 4, seed=9))
-        with pytest.raises(ValueError, match="unknown"):
-            align(preds_for(instances) + extra, instances)
+        extra = make_instances("zho-res", 4, seed=9)[0]
+        with pytest.raises(ParseError, match=re.escape(
+                f"first extra key {extra.key}")):
+            align_columns(columns_for(instances[:1] + [extra] + instances[1:]),
+                          columns_for(instances))
 
     def test_duplicate_key_rejected(self):
         instances = make_instances("zho-res", 3, seed=0)
-        preds = preds_for(instances)
-        with pytest.raises(ValueError, match="duplicate"):
-            align(preds + preds[:1], instances)
+        with pytest.raises(ParseError, match=re.escape(
+                f"duplicate key {instances[0].key}")):
+            align_columns(columns_for(instances + instances[:1]),
+                          columns_for(instances))
 
-    def test_gold_without_va_rejected(self):
-        instances = make_instances("zho-res", 3, seed=0, with_gold=False)
-        with pytest.raises(ValueError, match="no gold"):
-            align([], instances)
+    def test_one_line_message(self):
+        instances = make_instances("zho-res", 3, seed=0)
+        with pytest.raises(ParseError) as info:
+            align_columns(columns_for(instances[1:]), columns_for(instances))
+        assert "\n" not in str(info.value)
 
 
 class TestEvaluate:
     def pair_data(self, names, n=8, offset=0.0):
+        """Aligned (n, 2) prediction and gold arrays per pair."""
         gold = {}
         preds = {}
         for seed, name in enumerate(names):
             instances = make_instances(name, n, seed=seed)
-            gold[PairID.parse(name)] = instances
-            preds[PairID.parse(name)] = preds_for(instances, offset)
+            gold[PairID.parse(name)] = columns_for(instances).values
+            preds[PairID.parse(name)] = columns_for(instances, offset).values
         return preds, gold
 
     def test_perfect_predictions_all_zero(self):

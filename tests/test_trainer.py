@@ -308,10 +308,16 @@ class TestSeparate:
         joint = train(pooled[:50], pooled[50:], config(max_epochs=2), SPEC)
         dev = {p: make_instances(str(p), 6, seed=500 + k)
                for k, p in enumerate(per_pair)}
+        gold = {p: metrics.va_array([i.gold for i in insts])
+                for p, insts in dev.items()}
+
+        def values(ckpt, insts):
+            return metrics.va_array([p.va for p in ckpt.predict(insts)])
+
         joint_report = metrics.evaluate(
-            {p: joint.predict(insts) for p, insts in dev.items()}, dev)
+            {p: values(joint, insts) for p, insts in dev.items()}, gold)
         sep_report = metrics.evaluate(
-            {p: sep[p].predict(insts) for p, insts in dev.items()}, dev)
+            {p: values(sep[p], insts) for p, insts in dev.items()}, gold)
         assert set(joint_report.per_pair) == set(sep_report.per_pair)
 
 
