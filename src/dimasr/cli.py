@@ -1,9 +1,10 @@
 """Batch pipeline: preprocess -> train -> predict -> evaluate -> ensemble -> submit.
 
 Stages communicate only through files, so each is independently runnable and
-a rerun on unchanged inputs is byte-identical.  Every stage writes a manifest
-listing its inputs and outputs with content hashes; the run id is derived
-from those hashes, never from wall-clock time.
+a rerun on unchanged inputs is byte-identical.  Each stage runs inside one
+`Stage`, which resolves the files it reads, records the files it writes and
+finishes with a manifest of both by content hash; the run id is derived from
+those hashes, never from wall-clock time.
 
 Only corpus is imported at module level: the numpy-backed layers (encoding,
 trainer, metrics, ensemble) are imported by the stages that run them, so
@@ -44,7 +45,6 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(canonical_json(obj), encoding="utf-8")
 
 
@@ -54,18 +54,6 @@ def sha256_file(path: Path) -> str:
         for chunk in iter(lambda: f.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def write_manifest(out_dir: Path, stage: str, params: dict,
-                   inputs: dict[str, str], outputs: list[Path]) -> None:
-    """Manifest with relative paths only, so reruns into fresh dirs match."""
-    out_hashes = {str(p.relative_to(out_dir)): sha256_file(p)
-                  for p in sorted(outputs)}
-    body = {"stage": stage, "tool_version": __version__, "params": params,
-            "inputs": inputs, "outputs": out_hashes}
-    digest = hashlib.sha256(
-        canonical_json(body).encode("utf-8")).hexdigest()[:16]
-    write_json(out_dir / MANIFEST_NAME, {"run_id": digest, **body})
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +150,81 @@ def load_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray]:
     return keys, np.array(flat, dtype=np.float64).reshape(-1, 2)
 
 
-def _pair_files(data_dir: Path, pairs_filter: set[str] | None) -> list[Path]:
-    files = [p for p in sorted(data_dir.glob("*.json"))
-             if p.name != MANIFEST_NAME and p.stem != "report"]
-    if pairs_filter is not None:
-        files = [p for p in files if p.stem in pairs_filter]
-    return files
+# ---------------------------------------------------------------------------
+# stage runs
+
+class Stage:
+    """One run of a stage: the files it read, the files it wrote, and the
+    manifest that records both by content hash.
+
+    Inputs are keyed `<flag>/<path relative to the flag's directory>`,
+    outputs by their path under `out`.  Nothing under `out` is created
+    before the first output, so a stage stopped by bad input leaves no
+    `--out` directory behind.
+    """
+
+    def __init__(self, name: str, out: str):
+        self.name, self.out = name, Path(out)
+        self.inputs: dict[str, Path] = {}
+        self.outputs: dict[str, Path] = {}
+
+    def read(self, flag: str, root: Path, paths: list[Path]) -> list[Path]:
+        """Record `paths`, files under the `--flag` directory `root`, as inputs."""
+        for path in paths:
+            self.inputs[f"{flag}/{path.relative_to(root).as_posix()}"] = path
+        return paths
+
+    def pair_files(self, flag: str, root: str, sub: str = "",
+                   pairs: str | None = None) -> dict[PairID, Path]:
+        """The per-pair files of `root/sub` by pair, in path order, recorded
+        as inputs; `pairs` is a comma-separated `--pairs` filter.  A file
+        name that is not a pair id, a `--pairs` entry without a file or a
+        directory without pair files is a ParseError naming it."""
+        root = Path(root)
+        where = root / sub
+        found = {_file_pair(f): f for f in sorted(where.glob("*.json"))
+                 if f.name not in (MANIFEST_NAME, "report.json")}
+        if pairs is not None:
+            wanted = pairs.split(",")
+            for name in wanted:
+                if name not in map(str, found):
+                    raise ParseError(f"--pairs entry {name!r}: no file "
+                                     f"{where / name}.json")
+            found = {p: f for p, f in found.items() if str(p) in wanted}
+        if not found:
+            raise ParseError(f"{where}: no per-pair files")
+        self.read(flag, root, list(found.values()))
+        return found
+
+    def output(self, rel: str) -> Path:
+        """The path of output `rel` under `out`, recorded, its parent created."""
+        path = self.out / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.outputs[rel] = path
+        return path
+
+    def finish(self, params: dict) -> None:
+        """Write the manifest: relative paths only, so reruns into fresh
+        directories match."""
+        body = {"stage": self.name, "tool_version": __version__, "params": params,
+                "inputs": {k: sha256_file(p) for k, p in self.inputs.items()},
+                "outputs": {k: sha256_file(p) for k, p in self.outputs.items()}}
+        digest = hashlib.sha256(
+            canonical_json(body).encode("utf-8")).hexdigest()[:16]
+        write_json(self.out / MANIFEST_NAME, {"run_id": digest, **body})
 
 
-def _load_pair_map(data_dir: Path,
-                   pairs_filter: set[str] | None = None) -> dict[PairID, list[Instance]]:
-    out = {}
-    for f in _pair_files(data_dir, pairs_filter):
-        out[_file_pair(f)] = load_instances(f)
-    if not out:
-        raise FileNotFoundError(f"no per-pair instance files under {data_dir}")
-    return out
+def _match_gold(gold_dir: str, gold: dict[PairID, Path],
+                found: dict[Path, dict[PairID, Path]]) -> None:
+    """A ParseError unless every directory in `found` holds exactly the gold
+    pairs; the one line lists each directory's missing and extra pairs."""
+    gaps = [f"{what} {where} [{', '.join(map(str, sorted(diff, key=pair_sort_key)))}]"
+            for where, files in found.items()
+            for what, diff in (("no predictions in", set(gold) - set(files)),
+                               ("no gold for", set(files) - set(gold))) if diff]
+    if gaps:
+        raise ParseError(f"pair sets differ from the gold under {gold_dir}: "
+                         f"{'; '.join(gaps)}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +232,9 @@ def _load_pair_map(data_dir: Path,
 
 RUN_CONFIG_KEYS = frozenset(
     {"encoder", "seed", "patience", "dropout_rate", "validation_fraction", "grid"})
+REQUIRED_GRID_KEYS = ("batch_size", "learning_rate", "max_epochs", "bounded")
 GRID_ENTRY_KEYS = frozenset(
-    {"batch_size", "learning_rate", "max_epochs", "bounded", "seed", "patience",
-     "dropout_rate"})
+    {*REQUIRED_GRID_KEYS, "seed", "patience", "dropout_rate"})
 
 
 def _reject_unknown_keys(obj: dict, known: frozenset, where: str) -> None:
@@ -197,41 +244,49 @@ def _reject_unknown_keys(obj: dict, known: frozenset, where: str) -> None:
                          f"(known: {', '.join(sorted(known))})")
 
 
+def _check_grid(grid: list, path: str, regime: str) -> None:
+    """A ParseError naming the file, entry and key of an empty grid, a grid
+    entry with an unknown or a missing key, or a grid of several entries
+    under --regime separate, which trains one."""
+    if not grid:
+        raise ParseError(f"{path}: key 'grid': no entries")
+    if regime == "separate" and len(grid) > 1:
+        raise ParseError(f"{path}: key 'grid': {len(grid)} entries, but "
+                         f"--regime separate trains one")
+    for i, entry in enumerate(grid):
+        _reject_unknown_keys(entry, GRID_ENTRY_KEYS, f"{path}: grid entry {i}")
+        for key in REQUIRED_GRID_KEYS:
+            if key not in entry:
+                raise ParseError(f"{path}: grid entry {i}: missing key {key!r}")
+
+
 def load_run_config(path: str | None, seed: int | None, regime: str
                     ) -> tuple[encoding.EncoderSpec, list[trainer.TrainConfig], float]:
     """Resolve encoder spec, training grid and validation fraction.
 
-    Without a config file the grid is the default seven-candidate grid; the
-    --seed flag overrides any configured seed.  An unknown key, at the top
-    level or in a grid entry, raises ParseError (a ValueError) naming it.
+    Without a config file the grid is the default seven-candidate grid, or
+    its first entry under --regime separate; the --seed flag overrides any
+    configured seed.  An unknown key, at the top level or in a grid entry,
+    and any grid that `_check_grid` rejects raise ParseError (a ValueError).
     """
     from . import encoding, trainer
     raw = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
     _reject_unknown_keys(raw, RUN_CONFIG_KEYS, str(path))
-    for i, entry in enumerate(raw.get("grid", [])):
-        _reject_unknown_keys(entry, GRID_ENTRY_KEYS, f"{path}: grid entry {i}")
-    base_seed = seed if seed is not None else raw.get("seed", 42)
-    patience = raw.get("patience", 2)
-    dropout = raw.get("dropout_rate", 0.1)
+    defaults = {"seed": seed if seed is not None else raw.get("seed", 42),
+                "patience": raw.get("patience", 2),
+                "dropout_rate": raw.get("dropout_rate", 0.1), "regime": regime}
     fraction = raw.get("validation_fraction", 0.10)
     spec = (encoding.EncoderSpec.from_dict(raw["encoder"]) if "encoder" in raw
             else encoding.EncoderSpec())
     if "grid" in raw:
-        grid = [trainer.TrainConfig(
-                    batch_size=entry["batch_size"],
-                    learning_rate=entry["learning_rate"],
-                    max_epochs=entry["max_epochs"],
-                    bounded=entry["bounded"],
-                    seed=entry.get("seed", base_seed),
-                    patience=entry.get("patience", patience),
-                    regime=regime,
-                    dropout_rate=entry.get("dropout_rate", dropout))
+        _check_grid(raw["grid"], path, regime)
+        grid = [trainer.TrainConfig(**{**defaults, **entry})
                 for entry in raw["grid"]]
     else:
-        grid = [trainer.TrainConfig(**{**c.to_dict(),
-                                       "seed": base_seed, "patience": patience,
-                                       "regime": regime, "dropout_rate": dropout})
+        grid = [trainer.TrainConfig(**{**c.to_dict(), **defaults})
                 for c in trainer.default_grid()]
+        if regime == "separate":
+            grid = grid[:1]
     return spec, grid, fraction
 
 
@@ -239,21 +294,13 @@ def load_run_config(path: str | None, seed: int | None, regime: str
 # stages
 
 def cmd_preprocess(args) -> int:
-    in_dir, out_dir = Path(args.input), Path(args.out)
-    pairs_filter = set(args.pairs.split(",")) if args.pairs else None
-    files = _pair_files(in_dir, pairs_filter)
-    if not files:
-        print(f"error: no input files under {in_dir}", file=sys.stderr)
-        return 1
-
+    stage = Stage("preprocess", args.out)
+    files = stage.pair_files("input", args.input, pairs=args.pairs)
     failures = 0
     total = corpus.PreprocessReport()
     per_pair = {}
-    inputs, outputs = {}, []
-    for f in files:
-        inputs[f.name] = sha256_file(f)
+    for pair, f in files.items():
         try:
-            pair = _file_pair(f)
             records = corpus.parse_quadruplet_file(f, pair)
         except ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -263,16 +310,12 @@ def cmd_preprocess(args) -> int:
         if not instances:
             logger.warning("%s: no instances survive preprocessing (%s)",
                            f.name, report.as_dict())
-        dest = out_dir / f"{pair}.json"
-        write_json(dest, instance_rows(instances))
-        outputs.append(dest)
+        write_json(stage.output(f"{pair}.json"), instance_rows(instances))
         per_pair[str(pair)] = report.as_dict()
         total = total.merged(report)
-
-    report_path = out_dir / "report.json"
+    report_path = stage.output("report.json")
     write_json(report_path, {"pairs": per_pair, "total": total.as_dict()})
-    outputs.append(report_path)
-    write_manifest(out_dir, "preprocess", {"pairs": args.pairs}, inputs, outputs)
+    stage.finish({"pairs": args.pairs})
     logger.info("preprocess: %d files, %d instances out, report at %s",
                 len(files), total.instances_out, report_path)
     return 1 if failures else 0
@@ -280,56 +323,44 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     from . import trainer
-    data_dir, out_dir = Path(args.data), Path(args.out)
     spec, grid, fraction = load_run_config(args.config, args.seed, args.regime)
-    pairs_filter = set(args.pairs.split(",")) if args.pairs else None
-    per_pair = _load_pair_map(data_dir, pairs_filter)
-    inputs = {f.name: sha256_file(f) for f in _pair_files(data_dir, pairs_filter)}
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    stage = Stage("train", args.out)
+    if args.config:
+        stage.read("config", Path(args.config).parent, [Path(args.config)])
+    per_pair = {pair: load_instances(f) for pair, f in
+                stage.pair_files("data", args.data, pairs=args.pairs).items()}
     if args.regime == "joint":
         pooled = corpus.pool_pairs(per_pair)
         train_set, val_set = corpus.split_train_validation(
             pooled, fraction, grid[0].seed)
         checkpoints = trainer.train_grid(train_set, val_set, grid, spec)
     else:
-        # Separate regime trains the first grid config independently per pair.
+        # Separate regime trains its one grid config independently per pair.
         checkpoints = list(trainer.train_separate(per_pair, grid[0], spec,
                                                   fraction).values())
 
     for ckpt in checkpoints:
-        path = out_dir / f"{ckpt.id}.ckpt"
-        ckpt.save(path)
-        outputs.append(path)
-        log_path = out_dir / f"{ckpt.id}.log"
-        log_path.write_text(
+        ckpt.save(stage.output(f"{ckpt.id}.ckpt"))
+        stage.output(f"{ckpt.id}.log").write_text(
             "".join(f"epoch {h['epoch']} train_mse {h['train_mse']:.6f} "
                     f"val_rmse {h['val_rmse']:.6f}\n" for h in ckpt.history),
             encoding="utf-8")
-        outputs.append(log_path)
-
-    params = {"regime": args.regime, "seed": args.seed,
-              "grid": [c.to_dict() for c in grid], "encoder": spec.to_dict(),
-              "validation_fraction": fraction}
-    write_manifest(out_dir, "train", params, inputs, outputs)
-    logger.info("train: wrote %d checkpoints to %s", len(checkpoints), out_dir)
+    stage.finish({"regime": args.regime, "seed": args.seed,
+                  "grid": [c.to_dict() for c in grid], "encoder": spec.to_dict(),
+                  "validation_fraction": fraction})
+    logger.info("train: wrote %d checkpoints to %s", len(checkpoints), stage.out)
     return 0
 
 
 def cmd_predict(args) -> int:
     from . import encoding, trainer
-    ckpt_dir, data_dir, out_dir = Path(args.ckpts), Path(args.data), Path(args.out)
-    ckpt_files = sorted(ckpt_dir.glob("*.ckpt"))
+    stage = Stage("predict", args.out)
+    ckpt_dir = Path(args.ckpts)
+    ckpt_files = stage.read("ckpts", ckpt_dir, sorted(ckpt_dir.glob("*.ckpt")))
     if not ckpt_files:
-        print(f"error: no checkpoints under {ckpt_dir}", file=sys.stderr)
-        return 1
-    pairs_filter = set(args.pairs.split(",")) if args.pairs else None
-    per_pair = _load_pair_map(data_dir, pairs_filter)
-
-    inputs = {f.name: sha256_file(f) for f in ckpt_files}
-    inputs.update({f.name: sha256_file(f) for f in _pair_files(data_dir, pairs_filter)})
-    outputs = []
+        raise ParseError(f"{ckpt_dir}: no checkpoint files")
+    per_pair = {pair: load_instances(f) for pair, f in
+                stage.pair_files("data", args.data, pairs=args.pairs).items()}
     checkpoints = [trainer.Checkpoint.load(f) for f in ckpt_files]
     for pair, instances in per_pair.items():
         # Features depend on the encoder spec only: encode each pair once
@@ -340,28 +371,25 @@ def cmd_predict(args) -> int:
             if spec not in features:
                 features[spec] = encoding.instance_features(instances, spec)
             preds = ckpt.predict(instances, features=features[spec])
-            dest = out_dir / ckpt.id / f"{pair}.json"
-            write_predictions(dest, [p.key for p in preds],
+            write_predictions(stage.output(f"{ckpt.id}/{pair}.json"),
+                              [p.key for p in preds],
                               [p.va.as_tuple() for p in preds])
-            outputs.append(dest)
-    write_manifest(out_dir, "predict", {"pairs": args.pairs}, inputs, outputs)
+    stage.finish({"pairs": args.pairs})
     logger.info("predict: %d checkpoints x %d pairs -> %s",
-                len(ckpt_files), len(per_pair), out_dir)
+                len(ckpt_files), len(per_pair), stage.out)
     return 0
 
 
-def _load_columns(files: list[Path]) -> dict[PairID, metrics.Columns]:
+def _load_columns(files: dict[PairID, Path]) -> dict[PairID, metrics.Columns]:
     """The columns of per-pair prediction (or gold) files, by pair."""
     from .metrics import Columns
-    return {_file_pair(f): Columns(*load_predictions(f), str(f)) for f in files}
+    return {pair: Columns(*load_predictions(f), str(f)) for pair, f in files.items()}
 
 
-def _load_gold(gold_dir: Path) -> dict[PairID, metrics.Columns]:
+def _load_gold(files: dict[PairID, Path]) -> dict[PairID, metrics.Columns]:
     """Gold columns per pair, read like prediction files: a record without
     VA, as in a test split, or a repeated (ID, Aspect) key is a ParseError."""
-    gold = _load_columns(_pair_files(gold_dir, None))
-    if not gold:
-        raise ParseError(f"{gold_dir}: no per-pair gold files")
+    gold = _load_columns(files)
     for g in gold.values():
         _check_unique(g.source, g.keys)
     return gold
@@ -369,116 +397,66 @@ def _load_gold(gold_dir: Path) -> dict[PairID, metrics.Columns]:
 
 def cmd_evaluate(args) -> int:
     from . import metrics
-    pred_dir, gold_dir, out_dir = Path(args.pred), Path(args.gold), Path(args.out)
-    gold = _load_gold(gold_dir)
-    preds = {}
-    for pair, ref in gold.items():
-        path = pred_dir / f"{pair}.json"
-        if not path.exists():
-            print(f"error: missing prediction file {path}", file=sys.stderr)
-            return 1
-        preds[pair] = metrics.align_columns(
-            metrics.Columns(*load_predictions(path), str(path)), ref)
+    stage = Stage("evaluate", args.out)
+    gold_files = stage.pair_files("gold", args.gold)
+    pred_files = stage.pair_files("pred", args.pred)
+    _match_gold(args.gold, gold_files, {Path(args.pred): pred_files})
+    gold = _load_gold(gold_files)
+    preds = {pair: metrics.align_columns(columns, gold[pair])
+             for pair, columns in _load_columns(pred_files).items()}
     report = metrics.evaluate(preds, {p: g.values for p, g in gold.items()})
 
-    inputs = {f"gold/{p}.json": sha256_file(gold_dir / f"{p}.json") for p in gold}
-    inputs.update({f"pred/{p}.json": sha256_file(pred_dir / f"{p}.json")
-                   for p in gold})
-    report_json = out_dir / "report.json"
-    write_json(report_json, report.as_dict())
-    table_path = out_dir / "report.txt"
-    table_path.parent.mkdir(parents=True, exist_ok=True)
-    table_path.write_text(report.render_table() + "\n", encoding="utf-8")
-    write_manifest(out_dir, "evaluate", {}, inputs, [report_json, table_path])
+    write_json(stage.output("report.json"), report.as_dict())
+    stage.output("report.txt").write_text(report.render_table() + "\n",
+                                          encoding="utf-8")
+    stage.finish({})
     print(report.render_table())
     return 0
 
 
 def cmd_ensemble(args) -> int:
     from . import ensemble, metrics
-    dev_root, gold_dir, out_dir = Path(args.dev_preds), Path(args.dev_gold), Path(args.out)
-    test_root = Path(args.test_preds) if args.test_preds else None
-    member_ids = sorted(p.name for p in dev_root.iterdir() if p.is_dir())
+    stage = Stage("ensemble", args.out)
+    dev_root = Path(args.dev_preds)
+    member_ids = [p.name for p in sorted(dev_root.glob("*")) if p.is_dir()]
     least = max(2, args.min_size)
     if not least <= len(member_ids) <= ensemble.MAX_POOL_SIZE:
-        print(f"error: {dev_root} holds {len(member_ids)} member directories; "
-              f"need {least} to {ensemble.MAX_POOL_SIZE}", file=sys.stderr)
-        return 1
-
-    members = []
-    inputs = {}
-    for mid in member_ids:
-        dev = _load_columns(sorted((dev_root / mid).glob("*.json")))
-        test = (_load_columns(sorted((test_root / mid).glob("*.json")))
-                if test_root else {})
-        members.append(ensemble.Member(id=mid, dev=dev, test=test))
-        for pair in dev:
-            inputs[f"dev/{mid}/{pair}.json"] = sha256_file(
-                dev_root / mid / f"{pair}.json")
-    gold = _load_gold(gold_dir)
-    for pair in gold:
-        inputs[f"gold/{pair}.json"] = sha256_file(gold_dir / f"{pair}.json")
-
-    no_preds = sorted({p for m in members for p in gold if p not in m.dev},
-                      key=pair_sort_key)
-    no_gold = sorted({p for m in members for p in m.dev if p not in gold},
-                     key=pair_sort_key)
-    if no_preds or no_gold:
-        print(f"error: pair sets differ: no predictions under {dev_root} for "
-              f"[{', '.join(map(str, no_preds))}], no gold under {gold_dir} "
-              f"for [{', '.join(map(str, no_gold))}]", file=sys.stderr)
-        return 1
-    if test_root is not None:
-        gaps = []
-        for m in members:
-            missing = sorted(set(gold) - set(m.test), key=pair_sort_key)
-            if missing:
-                gaps.append(f"{m.id} [{', '.join(map(str, missing))}]")
-        if gaps:
-            print(f"error: no test predictions under {test_root} for "
-                  f"{'; '.join(gaps)}", file=sys.stderr)
-            return 1
+        raise ParseError(f"{dev_root} holds {len(member_ids)} member directories; "
+                         f"need {least} to {ensemble.MAX_POOL_SIZE}")
+    roots = {"dev": args.dev_preds, "test": args.test_preds}
+    files = {split: {mid: stage.pair_files(f"{split}-preds", root, mid)
+                     for mid in member_ids}
+             for split, root in roots.items() if root}
+    gold_files = stage.pair_files("dev-gold", args.dev_gold)
+    _match_gold(args.dev_gold, gold_files,
+                {Path(roots[split]) / mid: found
+                 for split, by_member in files.items()
+                 for mid, found in by_member.items()})
+    gold = _load_gold(gold_files)
+    members = [ensemble.Member(
+                   id=mid, dev=_load_columns(files["dev"][mid]),
+                   test=_load_columns(files["test"][mid]) if "test" in files else {})
+               for mid in member_ids]
     # Aligns every member file; one whose keys differ is a ParseError naming it.
     pool = ensemble.CandidatePool(members, dev_gold=gold)
     selection = ensemble.search(pool, gold, min_size=args.min_size,
                                 max_size=args.max_size)
-    combined = {"dev": ensemble.apply(selection, pool, "dev")}
-    if test_root is not None:
-        combined["test"] = ensemble.apply(selection, pool, "test")
+    combined = {split: ensemble.apply(selection, pool, split) for split in files}
     dev_report = metrics.evaluate(combined["dev"],
                                   {p: g.values for p, g in gold.items()})
 
-    outputs = []
-    sel_path = out_dir / "selection.json"
-    write_json(sel_path, selection.to_dict())
-    outputs.append(sel_path)
-    matrix_path = out_dir / "membership.txt"
-    matrix_path.parent.mkdir(parents=True, exist_ok=True)
-    matrix_path.write_text(selection.render_membership_matrix() + "\n",
-                           encoding="utf-8")
-    outputs.append(matrix_path)
-
+    write_json(stage.output("selection.json"), selection.to_dict())
+    stage.output("membership.txt").write_text(
+        selection.render_membership_matrix() + "\n", encoding="utf-8")
     for split, by_pair in combined.items():
         for pair, values in by_pair.items():
-            dest = out_dir / split / f"{pair}.json"
-            write_predictions(dest, pool.reference[split][pair].keys,
-                              values.tolist())
-            outputs.append(dest)
-
-    report_path = out_dir / "dev_report.json"
-    write_json(report_path, dev_report.as_dict())
-    outputs.append(report_path)
-
-    if test_root is not None:
-        sub_dir = out_dir / "submission"
-        for pair, values in combined["test"].items():
-            dest = sub_dir / f"{pair}.json"
-            write_submission(dest, pool.reference["test"][pair].keys,
-                             values.tolist())
-            outputs.append(dest)
-
-    params = {"min_size": args.min_size, "max_size": args.max_size}
-    write_manifest(out_dir, "ensemble", params, inputs, outputs)
+            write_predictions(stage.output(f"{split}/{pair}.json"),
+                              pool.reference[split][pair].keys, values.tolist())
+    write_json(stage.output("dev_report.json"), dev_report.as_dict())
+    for pair, values in combined.get("test", {}).items():
+        write_submission(stage.output(f"submission/{pair}.json"),
+                         pool.reference["test"][pair].keys, values.tolist())
+    stage.finish({"min_size": args.min_size, "max_size": args.max_size})
     print(selection.render_membership_matrix())
     return 0
 
@@ -506,25 +484,18 @@ def write_submission(path: Path, keys: list[tuple[str, str]], values,
 
 
 def cmd_submit(args) -> int:
-    pred_dir, out_dir = Path(args.pred), Path(args.out)
-    files = _pair_files(pred_dir, set(args.pairs.split(",")) if args.pairs else None)
-    if not files:
-        print(f"error: no prediction files under {pred_dir}", file=sys.stderr)
-        return 1
-    read = {f: _prediction_rows(f) for f in files}   # all before writing any
+    stage = Stage("submit", args.out)
+    files = stage.pair_files("pred", args.pred, pairs=args.pairs)
+    read = {f: _prediction_rows(f) for f in files.values()}   # all before writing any
     for f, (keys, _) in read.items():
         _check_unique(f, keys)
-    inputs, outputs = {}, []
     total_clamped = 0
     for f, (keys, flat) in read.items():
-        inputs[f.name] = sha256_file(f)
-        dest = out_dir / f.name
-        total_clamped += write_submission(dest, keys, zip(flat[0::2], flat[1::2]),
+        total_clamped += write_submission(stage.output(f.name), keys,
+                                          zip(flat[0::2], flat[1::2]),
                                           clamp=args.clamp, precision=args.precision)
-        outputs.append(dest)
-    write_manifest(out_dir, "submit",
-                   {"clamp": args.clamp, "precision": args.precision,
-                    "pairs": args.pairs}, inputs, outputs)
+    stage.finish({"clamp": args.clamp, "precision": args.precision,
+                  "pairs": args.pairs})
     logger.info("submit: wrote %d files (%d values clamped)",
                 len(files), total_clamped)
     return 0

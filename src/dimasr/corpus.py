@@ -12,10 +12,8 @@ Input file format (JSON array or JSONL, one object per record):
                       "Opinion": "great", "VA": "7.5#6.0"}, ...]}
 
 VA is the string "<valence>#<arousal>"; an object form
-{"Valence": 7.5, "Arousal": 6.0} is also accepted.  Field names are
-configurable through a schema map so files with different casing or naming
-bind without code changes.  Test-set files use the same schema with the VA
-field absent.
+{"Valence": 7.5, "Arousal": 6.0} is also accepted.  Test-set files use the
+same format with the VA field absent.
 
 Preprocessing applies four rules, in order, per record:
   a. drop quadruplets whose aspect is the implicit NULL marker;
@@ -42,19 +40,6 @@ OFFICIAL_PAIRS = (
     "eng-res", "eng-lap", "jpn-hot", "jpn-fin", "rus-res",
     "tat-res", "ukr-res", "zho-res", "zho-lap", "zho-fin",
 )
-
-DEFAULT_SCHEMA = {
-    "id": "ID",
-    "text": "Text",
-    "quadruplets": "Quadruplets",
-    "aspect": "Aspect",
-    "category": "Category",
-    "opinion": "Opinion",
-    "va": "VA",
-    "valence": "Valence",
-    "arousal": "Arousal",
-}
-
 
 class ParseError(ValueError):
     """Raised when an input file or one of its records cannot be decoded."""
@@ -213,51 +198,49 @@ def _record_error(path, index: int, field_name: str, detail: str) -> ParseError:
     return ParseError(f"{path}: record {index}: field {field_name!r}: {detail}")
 
 
-def _parse_record(obj, index: int, pair: PairID, schema: dict, path) -> RawRecord:
+def _parse_record(obj, index: int, pair: PairID, path) -> RawRecord:
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: record {index}: not an object")
     try:
-        rec_id = str(obj[schema["id"]])
+        rec_id = str(obj["ID"])
     except KeyError:
-        raise _record_error(path, index, schema["id"], "missing") from None
-    text = obj.get(schema["text"])
+        raise _record_error(path, index, "ID", "missing") from None
+    text = obj.get("Text")
     if not isinstance(text, str):
-        raise _record_error(path, index, schema["text"], "missing or not a string")
+        raise _record_error(path, index, "Text", "missing or not a string")
 
     quads = []
-    raw_quads = obj.get(schema["quadruplets"], [])
+    raw_quads = obj.get("Quadruplets", [])
     if not isinstance(raw_quads, list):
-        raise _record_error(path, index, schema["quadruplets"], "not a list")
+        raise _record_error(path, index, "Quadruplets", "not a list")
     for qi, q in enumerate(raw_quads):
         if not isinstance(q, dict):
-            raise _record_error(path, index, schema["quadruplets"],
+            raise _record_error(path, index, "Quadruplets",
                                 f"entry {qi} is not an object")
-        aspect = q.get(schema["aspect"])
+        aspect = q.get("Aspect")
         if aspect is not None:
             aspect = str(aspect)
-        va_raw = q.get(schema["va"])
+        va_raw = q.get("VA")
         try:
             va = parse_va(va_raw) if va_raw is not None else None
         except ParseError as exc:
-            raise _record_error(path, index, schema["va"], str(exc)) from None
+            raise _record_error(path, index, "VA", str(exc)) from None
         quads.append(Quadruplet(
             aspect=aspect,
-            category=str(q.get(schema["category"], "")),
-            opinion=str(q.get(schema["opinion"], "")),
+            category=str(q.get("Category", "")),
+            opinion=str(q.get("Opinion", "")),
             va=va,
         ))
     return RawRecord(id=rec_id, text=text, quadruplets=quads, pair=pair)
 
 
-def parse_quadruplet_file(path, pair: PairID,
-                          schema: dict | None = None) -> list[RawRecord]:
+def parse_quadruplet_file(path, pair: PairID) -> list[RawRecord]:
     """Parse one raw annotation file into RawRecords, preserving order.
 
     Accepts a JSON array of record objects or JSONL (one object per line).
     Malformed records raise ParseError naming the record index and field.
     """
     path = Path(path)
-    schema = {**DEFAULT_SCHEMA, **(schema or {})}
     raw = path.read_text(encoding="utf-8")
     stripped = raw.lstrip()
     try:
@@ -268,12 +251,11 @@ def parse_quadruplet_file(path, pair: PairID,
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
-    records = [_parse_record(obj, i, pair, schema, path)
-               for i, obj in enumerate(objs)]
+    records = [_parse_record(obj, i, pair, path) for i, obj in enumerate(objs)]
     seen: set[str] = set()
     for i, rec in enumerate(records):
         if rec.id in seen:
-            raise _record_error(path, i, schema["id"], f"duplicate id {rec.id!r}")
+            raise _record_error(path, i, "ID", f"duplicate id {rec.id!r}")
         seen.add(rec.id)
     return records
 

@@ -754,6 +754,44 @@ class TestManifests:
             blob = (pipeline / "ckpts" / rel).read_bytes()
             assert hashlib.sha256(blob).hexdigest() == digest
 
+    # Per stage directory of the pipeline: each flag's directory, under the
+    # raw data ("raw") or the work directory ("work").
+    STAGE_FLAGS = {
+        "insts/train": {"input": ("raw", "train")},
+        "insts/dev": {"input": ("raw", "dev")},
+        "insts/test": {"input": ("raw", "test")},
+        "ckpts": {"data": ("work", "insts/train"), "config": ("work", ".")},
+        "preds/dev": {"ckpts": ("work", "ckpts"), "data": ("work", "insts/dev")},
+        "preds/test": {"ckpts": ("work", "ckpts"), "data": ("work", "insts/test")},
+        "ens": {"dev-preds": ("work", "preds/dev"),
+                "test-preds": ("work", "preds/test"),
+                "dev-gold": ("work", "insts/dev")},
+        "eval": {"pred": ("work", "ens/dev"), "gold": ("work", "insts/dev")},
+        "submission": {"pred": ("work", "ens/test")},
+    }
+
+    @pytest.mark.parametrize("stage_dir", sorted(STAGE_FLAGS))
+    def test_inputs_resolve_under_their_flag_and_verify(self, pipeline,
+                                                         raw_data, stage_dir):
+        roots = {"raw": raw_data, "work": pipeline}
+        flags = self.STAGE_FLAGS[stage_dir]
+        manifest = json.loads((pipeline / stage_dir / "manifest.json").read_text())
+        assert {key.split("/")[0] for key in manifest["inputs"]} == set(flags)
+        for key, digest in manifest["inputs"].items():
+            flag, rel = key.split("/", 1)
+            where, sub = flags[flag]
+            path = roots[where] / sub / rel
+            assert path.is_file(), key
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_ensemble_lists_every_test_prediction(self, pipeline):
+        inputs = json.loads((pipeline / "ens/manifest.json").read_text())["inputs"]
+        test_root = pipeline / "preds/test"
+        files = sorted(test_root.glob("*/*.json"))
+        assert len(files) == 7 * len(SYNTH_PAIRS)
+        for path in files:
+            assert f"test-preds/{path.relative_to(test_root).as_posix()}" in inputs
+
 
 class TestStageImports:
     """preprocess and submit never touch an array, so they run without

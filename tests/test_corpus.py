@@ -140,16 +140,6 @@ class TestParseFile:
         with pytest.raises(ParseError, match="duplicate id"):
             parse_quadruplet_file(self.write(tmp_path, rows), PAIR)
 
-    def test_schema_map_binds_other_field_names(self, tmp_path):
-        rows = [{"key": "a", "body": "nice room",
-                 "annotations": [{"target": "room", "VA": "6.0#5.0"}]}]
-        schema = {"id": "key", "text": "body", "quadruplets": "annotations",
-                  "aspect": "target"}
-        records = parse_quadruplet_file(self.write(tmp_path, rows), PAIR,
-                                        schema=schema)
-        assert records[0].quadruplets[0].aspect == "room"
-        assert records[0].quadruplets[0].va == VAScore(6.0, 5.0)
-
 
 class TestPreprocess:
     def test_null_aspect_dropped(self):

@@ -1,0 +1,106 @@
+"""One failure contract for every stage, as a table of (stage argv,
+corruption) rows.  Each row runs the stage as a user does, in a fresh
+`python -m dimasr.cli` process, and must end with a non-zero exit, exactly
+one non-INFO stderr line (an `error:` line naming the file, flag or entry
+at fault) and no `--out` directory."""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from dimasr import cli
+from synth import SYNTH_PAIRS, write_raw_dir
+
+SRC_ROOT = Path(cli.__file__).resolve().parents[1]
+ENCODER = {"backend": "toy-deterministic", "template": "bert-style",
+           "max_len": 16, "hidden_size": 8, "vocab_size": 50000, "seed": 0,
+           "trainable_layer": True, "model_name": None}
+ENTRY = {"batch_size": 8, "learning_rate": 0.01, "max_epochs": 1,
+         "bounded": True}
+
+# name: the stage's argv before --out, and the texts its error line must
+# hold; "{root}" stands for the inputs fixture's directory.
+ROWS = {
+    "preprocess --pairs without file": (
+        ["preprocess", "--input", "{root}/raw", "--pairs", "aaa-res,zzz-res"],
+        ["--pairs", "'zzz-res'", "{root}/raw/zzz-res.json"]),
+    "train --pairs without file": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/one.json",
+         "--pairs", "aaa-res,zzz-res"],
+        ["--pairs", "'zzz-res'", "{root}/insts/zzz-res.json"]),
+    "predict --pairs without file": (
+        ["predict", "--ckpts", "{root}/ckpts", "--data", "{root}/insts",
+         "--pairs", "aaa-res,zzz-res"],
+        ["--pairs", "'zzz-res'", "{root}/insts/zzz-res.json"]),
+    "submit --pairs without file": (
+        ["submit", "--pred", "{root}/preds/M1", "--pairs", "aaa-res,zzz-res"],
+        ["--pairs", "'zzz-res'", "{root}/preds/M1/zzz-res.json"]),
+    "evaluate extra prediction file": (
+        ["evaluate", "--pred", "{root}/extra", "--gold", "{root}/insts"],
+        ["{root}/insts", "{root}/extra [xxx-res]"]),
+    "train empty data directory": (
+        ["train", "--data", "{root}/empty", "--config", "{root}/one.json"],
+        ["{root}/empty"]),
+    "train grid entry without key": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/no-rate.json"],
+        ["{root}/no-rate.json", "grid entry 0", "'learning_rate'"]),
+    "train empty grid": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/no-grid.json"],
+        ["{root}/no-grid.json", "'grid'"]),
+    "train separate with two grid entries": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/two.json",
+         "--regime", "separate"],
+        ["{root}/two.json", "'grid'", "2 entries", "separate"]),
+}
+
+
+def config(path: Path, grid: list) -> None:
+    path.write_text(json.dumps({"encoder": ENCODER, "grid": grid}),
+                    encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    write_raw_dir(root / "raw", n_records=6, seed=5)
+    config(root / "one.json", [ENTRY])
+    config(root / "two.json", [ENTRY, {**ENTRY, "bounded": False}])
+    config(root / "no-grid.json", [])
+    config(root / "no-rate.json",
+           [{k: v for k, v in ENTRY.items() if k != "learning_rate"}])
+    (root / "empty").mkdir()
+    for argv in (["preprocess", "--input", root / "raw", "--out", root / "insts"],
+                 ["train", "--data", root / "insts", "--out", root / "ckpts",
+                  "--config", root / "one.json"],
+                 ["predict", "--ckpts", root / "ckpts", "--data", root / "insts",
+                  "--out", root / "preds"]):
+        assert cli.main(list(map(str, argv))) == 0
+    shutil.copytree(root / "preds/M1", root / "extra")
+    shutil.copy(root / "extra" / f"{SYNTH_PAIRS[0]}.json",
+                root / "extra" / "xxx-res.json")
+    return root
+
+
+@pytest.mark.parametrize("name", list(ROWS))
+def test_bad_input_stops_with_one_line(inputs, tmp_path, name):
+    argv, expected = ROWS[name]
+    argv = [arg.format(root=inputs) for arg in argv]
+    out = tmp_path / "out"
+    path = os.pathsep.join(filter(None, [str(SRC_ROOT),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dimasr.cli", *argv, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode != 0
+    lines = [line for line in proc.stderr.splitlines()
+             if not line.startswith("INFO ")]
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    for text in expected:
+        assert text.format(root=inputs) in lines[0]
+    assert not out.exists()
