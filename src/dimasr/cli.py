@@ -18,6 +18,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -31,6 +32,8 @@ if TYPE_CHECKING:
 
     from . import encoding, metrics, trainer
 
+# Stages multiply small arrays: an OpenBLAS thread pool costs start-up, saves nothing.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
@@ -46,6 +49,17 @@ def canonical_json(obj) -> str:
 
 def write_json(path: Path, obj) -> None:
     path.write_text(canonical_json(obj), encoding="utf-8")
+
+
+def read_json(path: Path | str):
+    """The JSON value in `path`; a file that cannot be read or is not valid
+    UTF-8 JSON, as when cut short, is a ParseError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
 def sha256_file(path: Path) -> str:
@@ -101,7 +115,7 @@ def load_instances(path: Path) -> list[Instance]:
     """Instances of a per-pair file.  A record without ID, Text or Aspect, a
     bad VA or a repeated (ID, Aspect) key is a ParseError naming the record."""
     pair = _file_pair(path)
-    rows = json.loads(path.read_text(encoding="utf-8"))
+    rows = read_json(path)
     instances = []
     try:
         for row in rows:
@@ -125,7 +139,7 @@ def _prediction_rows(path: Path) -> tuple[list[tuple[str, str]], list[float]]:
     """A prediction file's keys and its VA values flat as [v0, a0, v1, ...],
     read without numpy; a record without ID, Aspect or a finite "v#a" VA is
     a ParseError naming the path, the record and the field."""
-    rows = json.loads(path.read_text(encoding="utf-8"))
+    rows = read_json(path)
     keys, flat, i = [], [], 0
     try:
         for i, row in enumerate(rows):
@@ -246,18 +260,28 @@ def _reject_unknown_keys(obj: dict, known: frozenset, where: str) -> None:
 
 def _check_grid(grid: list, path: str, regime: str) -> None:
     """A ParseError naming the file, entry and key of an empty grid, a grid
-    entry with an unknown or a missing key, or a grid of several entries
-    under --regime separate, which trains one."""
-    if not grid:
+    entry that is not an object or has an unknown or a missing key, or a
+    grid of several entries under --regime separate, which trains one."""
+    if not isinstance(grid, list) or not grid:
         raise ParseError(f"{path}: key 'grid': no entries")
     if regime == "separate" and len(grid) > 1:
         raise ParseError(f"{path}: key 'grid': {len(grid)} entries, but "
                          f"--regime separate trains one")
     for i, entry in enumerate(grid):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: grid entry {i}: not an object")
         _reject_unknown_keys(entry, GRID_ENTRY_KEYS, f"{path}: grid entry {i}")
         for key in REQUIRED_GRID_KEYS:
             if key not in entry:
                 raise ParseError(f"{path}: grid entry {i}: missing key {key!r}")
+
+
+def _build(cls, kwargs, where: str):
+    """cls(**kwargs); arguments it rejects are a ParseError naming `where`."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def load_run_config(path: str | None, seed: int | None, regime: str
@@ -266,24 +290,30 @@ def load_run_config(path: str | None, seed: int | None, regime: str
 
     Without a config file the grid is the default seven-candidate grid, or
     its first entry under --regime separate; the --seed flag overrides any
-    configured seed.  An unknown key, at the top level or in a grid entry,
-    and any grid that `_check_grid` rejects raise ParseError (a ValueError).
+    configured seed.  A file that is missing, is not a JSON object, or has
+    an unknown key, a validation fraction outside (0, 1), a grid that
+    `_check_grid` rejects, or a value that EncoderSpec or TrainConfig
+    rejects raise ParseError (a ValueError).
     """
     from . import encoding, trainer
-    raw = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+    raw = read_json(path) if path else {}
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: not a JSON object")
     _reject_unknown_keys(raw, RUN_CONFIG_KEYS, str(path))
     defaults = {"seed": seed if seed is not None else raw.get("seed", 42),
                 "patience": raw.get("patience", 2),
                 "dropout_rate": raw.get("dropout_rate", 0.1), "regime": regime}
     fraction = raw.get("validation_fraction", 0.10)
-    spec = (encoding.EncoderSpec.from_dict(raw["encoder"]) if "encoder" in raw
-            else encoding.EncoderSpec())
+    if not isinstance(fraction, (int, float)) or not 0.0 < fraction < 1.0:
+        raise ParseError(f"{path}: key 'validation_fraction': must be in (0, 1), "
+                         f"got {fraction!r}")
+    spec = _build(encoding.EncoderSpec, raw.get("encoder", {}), f"{path}: key 'encoder'")
     if "grid" in raw:
         _check_grid(raw["grid"], path, regime)
-        grid = [trainer.TrainConfig(**{**defaults, **entry})
-                for entry in raw["grid"]]
+        grid = [_build(trainer.TrainConfig, {**defaults, **entry}, f"{path}: grid entry {i}")
+                for i, entry in enumerate(raw["grid"])]
     else:
-        grid = [trainer.TrainConfig(**{**c.to_dict(), **defaults})
+        grid = [_build(trainer.TrainConfig, {**c.to_dict(), **defaults}, str(path))
                 for c in trainer.default_grid()]
         if regime == "separate":
             grid = grid[:1]
@@ -531,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON run config (encoder, grid, seed, ...)")
     p.add_argument("--regime", choices=REGIMES, default="joint")
-    p.add_argument("--seed", type=int, help="override the configured seed")
+    p.add_argument("--seed", type=_at_least(0), help="override the configured seed")
     p.add_argument("--pairs")
     p.set_defaults(func=cmd_train)
 

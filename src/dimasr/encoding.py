@@ -31,7 +31,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, asdict
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -49,6 +50,7 @@ BACKEND_PRETRAINED = "pretrained-multilingual"
 BACKENDS = (BACKEND_TOY, BACKEND_PRETRAINED)
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+_CHUNK_ROWS = 1024   # rows per toy-encoder id matrix: its memory stays flat in n
 
 
 class EncodingError(ValueError):
@@ -109,19 +111,22 @@ def tokenize(text: str, spec: EncoderSpec) -> list[int]:
 
 
 def format_pair(aspect: str, text: str, spec: EncoderSpec) -> SentencePairInput:
-    """Render an (aspect, text) pair per the template, truncated/padded to max_len.
+    """Render an (aspect, text) pair per the template; see `_template`."""
+    return SentencePairInput(tokens=tuple(
+        _template(tokenize(aspect, spec), tokenize(text, spec), spec)))
+
+
+def _template(aspect_ids: list[int], text_ids: list[int], spec: EncoderSpec) -> list[int]:
+    """The token ids of a pair per the template, truncated/padded to max_len.
 
     bert-style:    [CLS] aspect [SEP] text [SEP]
     roberta-style: <s> aspect </s></s> text </s>
 
     Truncation removes text from the tail only; the aspect is never cut, and
-    an aspect longer than max_len - 4 tokens is rejected.
+    a blank aspect (no token) or one over max_len - 4 tokens is rejected.
     """
-    if not aspect or not aspect.strip():
+    if not aspect_ids:
         raise EncodingError("aspect must be a nonempty string")
-    aspect_ids = tokenize(aspect, spec)
-    text_ids = tokenize(text, spec)
-
     if len(aspect_ids) > spec.max_len - 4:
         raise EncodingError(
             f"aspect spans {len(aspect_ids)} tokens; limit is max_len - 4 "
@@ -136,7 +141,7 @@ def format_pair(aspect: str, text: str, spec: EncoderSpec) -> SentencePairInput:
     else:
         seq = [FIRST_SPECIAL_ID, *aspect_ids, SEP_ID, SEP_ID, *text_ids, SEP_ID]
     seq.extend([PAD_ID] * (spec.max_len - len(seq)))
-    return SentencePairInput(tokens=tuple(seq))
+    return seq
 
 
 @lru_cache(maxsize=200_000)
@@ -147,18 +152,30 @@ def _cached_token_vector(tok: int, d: int, seed: int) -> np.ndarray:
     return vec
 
 
-def toy_encode(pair_input: SentencePairInput, d: int, seed: int) -> np.ndarray:
-    """Apply the toy encoding rule (module docstring) to one sequence."""
+def _toy_rows(rows, n: int, d: int, seed: int) -> np.ndarray:
+    """The toy encoding rule (module docstring) on an iterator of `n` id
+    sequences, _CHUNK_ROWS at a time.  Each position adds to the rows with a
+    token there, in position order: bit-identical to a loop over each row."""
     if d < 2:
         raise EncodingError(f"toy encoder needs d >= 2, got {d}")
-    acc = np.zeros(d)
-    n = 0
-    for pos, tok in enumerate(pair_input.tokens):
-        if tok == PAD_ID:
-            continue
-        acc += _cached_token_vector(tok, d, seed) / (1.0 + pos)
-        n += 1
-    return acc / max(1, n)
+    out = np.zeros((n, d))
+    for start in range(0, n, _CHUNK_ROWS):
+        ids = np.array(list(islice(rows, _CHUNK_ROWS)), dtype=np.int64)
+        mask = ids != PAD_ID
+        distinct = np.unique(ids[mask])
+        table = np.array([_cached_token_vector(t, d, seed) for t in distinct.tolist()])
+        index = np.searchsorted(distinct, ids)
+        acc = out[start:start + len(ids)]
+        for pos in np.flatnonzero(mask.any(axis=0)).tolist():
+            at = np.flatnonzero(mask[:, pos])
+            acc[at] += table[index[at, pos]] / (1.0 + pos)
+        acc /= np.maximum(1, mask.sum(axis=1))[:, None]
+    return out
+
+
+def toy_encode(pair_input: SentencePairInput, d: int, seed: int) -> np.ndarray:
+    """Apply the toy encoding rule (module docstring) to one sequence."""
+    return _toy_rows(iter([pair_input.tokens]), 1, d, seed)[0]
 
 
 def encode(inputs: list[SentencePairInput], spec: EncoderSpec) -> np.ndarray:
@@ -175,8 +192,8 @@ def encode(inputs: list[SentencePairInput], spec: EncoderSpec) -> np.ndarray:
         if len(item.tokens) != spec.max_len:
             raise EncodingError(
                 f"input {i} has length {len(item.tokens)}, spec.max_len is {spec.max_len}")
-    return np.stack([toy_encode(item, spec.hidden_size, spec.seed)
-                     for item in inputs]) if inputs else np.zeros((0, spec.hidden_size))
+    return _toy_rows((item.tokens for item in inputs), len(inputs),
+                     spec.hidden_size, spec.seed)
 
 
 def apply_projection(feats: np.ndarray, projection: np.ndarray | None) -> np.ndarray:
@@ -204,8 +221,11 @@ def pair_features(pairs: list[tuple[str, str]], spec: EncoderSpec) -> np.ndarray
     set.
     """
     if spec.backend == BACKEND_TOY:
-        inputs = [format_pair(aspect, text, spec) for aspect, text in pairs]
-        return encode(inputs, spec)
+        # Hash and tokenize once per distinct token and text: texts recur per aspect.
+        hashed = cache(lambda tok: token_id(tok, spec))
+        ids = cache(lambda s: [hashed(tok) for tok in _TOKEN_RE.findall(s)])
+        return _toy_rows((_template(ids(a), ids(t), spec) for a, t in pairs),
+                         len(pairs), spec.hidden_size, spec.seed)
     from .hf_backend import PretrainedEncoder
     return PretrainedEncoder(spec).encode_pairs(pairs)
 

@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimasr import cli, encoding, ensemble, trainer
-from dimasr.corpus import VA_MAX, VA_MIN, parse_va
+from dimasr.corpus import VA_MAX, VA_MIN, ParseError, parse_va
 from dimasr.regressor import CHECKPOINT_MAGIC
 from dimasr.encoding import EncoderSpec
 from synth import SYNTH_PAIRS, make_instances, write_raw_dir
@@ -236,6 +236,21 @@ class TestTrainStage:
                     "--out", str(out), "--config", str(config_path)]) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("body,message", [
+        ([RUN_CONFIG], "run.json: not a JSON object"),
+        ({"grid": {"batch_size": 8}}, "run.json: key 'grid': no entries"),
+        ({"patience": 0}, "run.json: patience must be >= 1, got 0"),
+        ({"dropout_rate": 1.5}, "run.json: dropout_rate must be in [0, 1), got 1.5"),
+        ({"validation_fraction": 2},
+         "run.json: key 'validation_fraction': must be in (0, 1), got 2"),
+    ])
+    def test_config_shape_and_values_rejected(self, tmp_path, body, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(body), encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            cli.load_run_config(str(config_path), None, "joint")
+        assert str(exc.value) == f"{tmp_path}/{message}"
 
 
 def count_feature_calls(monkeypatch) -> list[tuple]:
@@ -691,9 +706,11 @@ class TestFlagValidation:
         (["ensemble", "--max-size", "0"], "argument --max-size: must be >= 1"),
         (["ensemble", "--min-size", "3", "--max-size", "2"],
          "argument --max-size: 2 is below --min-size 3"),
+        (["train", "--seed", "-1"], "argument --seed: must be >= 0"),
     ])
     def test_bad_flag_exits_2_with_usage(self, tmp_path, capsys, argv, message):
-        paths = {"submit": ["--pred", "p", "--out", str(tmp_path / "out")],
+        paths = {"train": ["--data", "d", "--out", str(tmp_path / "out")],
+                 "submit": ["--pred", "p", "--out", str(tmp_path / "out")],
                  "ensemble": ["--dev-preds", "d", "--dev-gold", "g",
                               "--out", str(tmp_path / "out")]}[argv[0]]
         with pytest.raises(SystemExit) as exc:
@@ -834,6 +851,41 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
         assert result["loaded"] == {"import": False, "preprocess": False,
                                     "submit": False, "train": True}
         assert sorted(p.name for p in (work / "ckpts").glob("*.ckpt")) == ["M1.ckpt"]
+
+
+class TestBlasThreads:
+    """Importing the CLI pins OpenBLAS to one thread unless the user chose a
+    count, and the count never changes a checkpoint byte."""
+
+    def env(self, threads: str | None) -> dict[str, str]:
+        env = python_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        return env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+
+    @pytest.mark.parametrize("threads,expected", [(None, "1"), ("3", "3")])
+    def test_import_sets_default_only(self, threads, expected):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, dimasr.cli; "
+             "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=self.env(threads), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
+    def test_thread_count_leaves_checkpoints_unchanged(self, pipeline, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**RUN_CONFIG, "grid": TINY_GRID}),
+                          encoding="utf-8")
+        for threads in (None, "2"):
+            out = tmp_path / f"ckpts-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "dimasr.cli", "train", "--data",
+                 str(pipeline / "insts/train"), "--config", str(config),
+                 "--out", str(out)],
+                env=self.env(threads), capture_output=True, text=True,
+                timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        default, two = (tree_hashes(tmp_path / f"ckpts-{t}") for t in (None, "2"))
+        assert len(default) == 5 and default == two
 
 
 class TestCrossProcessDeterminism:

@@ -2,7 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dimasr import encoding
 from dimasr.encoding import (
     FIRST_SPECIAL_ID,
     N_RESERVED,
@@ -18,6 +21,7 @@ from dimasr.encoding import (
     format_pair,
     init_projection,
     instance_features,
+    pair_features,
     token_id,
     tokenize,
     toy_encode,
@@ -239,3 +243,64 @@ class TestEncodeBatch:
     def test_apply_projection_none_passthrough(self):
         feats = np.ones((2, 8))
         assert apply_projection(feats, None) is feats
+
+
+def loop_oracle(tokens, d, seed):
+    """The toy rule as the per-row loop the batched encoder replaced; the
+    encoder's rows must equal it byte for byte."""
+    acc = np.zeros(d)
+    n = 0
+    for pos, tok in enumerate(tokens):
+        if tok == PAD_ID:
+            continue
+        acc += np.random.default_rng([seed, tok]).uniform(-1.0, 1.0, d) / (1.0 + pos)
+        n += 1
+    return acc / max(1, n)
+
+
+def assert_rows_match_oracle(out, rows, d, seed):
+    assert out.shape == (len(rows), d)
+    for row, tokens in zip(out, rows):
+        assert row.tobytes() == loop_oracle(tokens, d, seed).tobytes()
+
+
+# Few distinct ids, so rows share tokens; PAD_ID anywhere, all-pad rows too.
+ids = st.one_of(st.just(PAD_ID), st.integers(FIRST_SPECIAL_ID, 40))
+
+
+class TestBatchedEncoderBitExact:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), max_len=st.integers(8, 24), d=st.integers(2, 40),
+           seed=st.integers(0, 5))
+    def test_id_rows(self, data, max_len, d, seed):
+        rows = data.draw(st.lists(st.lists(ids, min_size=max_len,
+                                           max_size=max_len), max_size=12))
+        rows.append([PAD_ID] * max_len)
+        spec = EncoderSpec(max_len=max_len, hidden_size=d, seed=seed)
+        out = encode([SentencePairInput(tokens=tuple(r)) for r in rows], spec)
+        assert_rows_match_oracle(out, rows, d, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=st.lists(st.tuples(
+               st.lists(st.sampled_from(WORDS), min_size=1, max_size=3),
+               st.lists(st.sampled_from(WORDS), max_size=30)), min_size=1,
+               max_size=10),
+           template=st.sampled_from([TEMPLATE_BERT, TEMPLATE_ROBERTA]),
+           max_len=st.integers(8, 24), d=st.integers(2, 40),
+           seed=st.integers(0, 5))
+    def test_templates_with_truncation(self, pairs, template, max_len, d, seed):
+        pairs = [(" ".join(a), " ".join(t)) for a, t in pairs]
+        spec = EncoderSpec(template=template, max_len=max_len, hidden_size=d,
+                           seed=seed)
+        rows = [format_pair(a, t, spec).tokens for a, t in pairs]
+        assert_rows_match_oracle(pair_features(pairs, spec), rows, d, seed)
+
+    def test_batch_crossing_chunk_boundary(self):
+        rng = np.random.default_rng(11)
+        n = encoding._CHUNK_ROWS + 5
+        rows = rng.integers(0, 30, size=(n, 8))
+        rows[rows < 3] = PAD_ID
+        spec = EncoderSpec(max_len=8, hidden_size=5, seed=3)
+        out = encode([SentencePairInput(tokens=tuple(r.tolist())) for r in rows],
+                     spec)
+        assert_rows_match_oracle(out, rows.tolist(), 5, 3)

@@ -56,12 +56,41 @@ ROWS = {
         ["train", "--data", "{root}/insts", "--config", "{root}/two.json",
          "--regime", "separate"],
         ["{root}/two.json", "'grid'", "2 entries", "separate"]),
+    "train truncated instance file": (
+        ["train", "--data", "{root}/cut-insts", "--config", "{root}/one.json"],
+        [f"{{root}}/cut-insts/{SYNTH_PAIRS[0]}.json", "invalid JSON"]),
+    "submit truncated prediction file": (
+        ["submit", "--pred", "{root}/cut-preds"],
+        [f"{{root}}/cut-preds/{SYNTH_PAIRS[0]}.json", "invalid JSON"]),
+    "train truncated run.json": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/cut.json"],
+        ["{root}/cut.json", "invalid JSON"]),
+    "train missing run.json": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/nope.json"],
+        ["{root}/nope.json", "No such file"]),
+    "train grid entry not an object": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/int-entry.json"],
+        ["{root}/int-entry.json", "grid entry 0", "not an object"]),
+    "train grid entry with batch_size 0": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/batch-0.json"],
+        ["{root}/batch-0.json", "grid entry 0", "batch_size"]),
+    "train encoder with max_len 4": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/len-4.json"],
+        ["{root}/len-4.json", "'encoder'", "max_len"]),
+    "train encoder with unknown key": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/colour.json"],
+        ["{root}/colour.json", "'encoder'", "'colour'"]),
 }
 
 
-def config(path: Path, grid: list) -> None:
-    path.write_text(json.dumps({"encoder": ENCODER, "grid": grid}),
+def config(path: Path, grid: list, **encoder) -> None:
+    path.write_text(json.dumps({"encoder": {**ENCODER, **encoder}, "grid": grid}),
                     encoding="utf-8")
+
+
+def truncate(path: Path) -> None:
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:len(text) // 2], encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +102,12 @@ def inputs(tmp_path_factory):
     config(root / "no-grid.json", [])
     config(root / "no-rate.json",
            [{k: v for k, v in ENTRY.items() if k != "learning_rate"}])
+    config(root / "int-entry.json", [1])
+    config(root / "batch-0.json", [{**ENTRY, "batch_size": 0}])
+    config(root / "len-4.json", [ENTRY], max_len=4)
+    config(root / "colour.json", [ENTRY], colour="red")
+    shutil.copy(root / "one.json", root / "cut.json")
+    truncate(root / "cut.json")
     (root / "empty").mkdir()
     for argv in (["preprocess", "--input", root / "raw", "--out", root / "insts"],
                  ["train", "--data", root / "insts", "--out", root / "ckpts",
@@ -83,6 +118,9 @@ def inputs(tmp_path_factory):
     shutil.copytree(root / "preds/M1", root / "extra")
     shutil.copy(root / "extra" / f"{SYNTH_PAIRS[0]}.json",
                 root / "extra" / "xxx-res.json")
+    for src, cut in (("insts", "cut-insts"), ("preds/M1", "cut-preds")):
+        shutil.copytree(root / src, root / cut)
+        truncate(root / cut / f"{SYNTH_PAIRS[0]}.json")
     return root
 
 
