@@ -228,7 +228,10 @@ def brute_force_best(pool, gold, pair, min_size, max_size):
                 preds.append((sum(d[key].valence for d in keyed) / len(subset),
                               sum(d[key].arousal for d in keyed) / len(subset)))
                 golds.append(g.as_tuple())
-            total = sum((pv - gv) ** 2 + (pa - ga) ** 2
+            # Squares as products: `x ** 2` goes through libm pow, which may
+            # miss the correctly rounded square by an ulp and so reorder
+            # subsets whose averages differ from each other by an ulp.
+            total = sum((pv - gv) * (pv - gv) + (pa - ga) * (pa - ga)
                         for (pv, pa), (gv, ga) in zip(preds, golds))
             score = math.sqrt(total / len(golds))
             ids = tuple(m.id for m in subset)
@@ -320,6 +323,24 @@ class TestSearch:
                    for mid in ("M3", "M1", "M2")]
         selection = search(CandidatePool(members), {pair: instances})
         assert selection.per_pair[pair].subset == ("M1", "M2")
+
+    def test_duplicates_whose_average_moves_an_ulp_match_brute_force(self):
+        # Three copies of one member: the triple's average (3x)/3 differs
+        # from x by an ulp in the last row and scores an ulp lower than x,
+        # which a pow-based square once hid from the oracle.
+        pair = PAIRS[0]
+        instances = make_instances(str(pair), 5, seed=1)
+        values = [(i.gold.valence, i.gold.arousal) for i in instances[:3]]
+        values += [(5.192, 7.314), (5.934866658073785, 4.8797354327443445)]
+        members = [Member(id=mid, dev={pair: [
+                       Prediction(id=i.id, aspect=i.aspect, va=VAScore(*va))
+                       for i, va in zip(instances, values)]})
+                   for mid in ("M2", "M3", "M1")]
+        pool, gold = CandidatePool(members), {pair: instances}
+        entry = search(pool, gold, min_size=1).per_pair[pair]
+        best, n_scored = brute_force_best(pool, gold, pair, 1, 3)
+        assert (entry.subset, entry.dev_rmse, entry.n_scored) == \
+               (best[2], best[0], n_scored)
 
     def test_member_order_invariance(self):
         pool, gold = make_pool(5)
