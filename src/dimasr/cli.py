@@ -43,6 +43,18 @@ MANIFEST_NAME = "manifest.json"
 # canonical file I/O
 
 def canonical_json(obj) -> str:
+    # With indent set, json.dumps runs the pure-Python encoder.  Instance,
+    # prediction and submission files are lists of str-to-str rows, so lay
+    # those out here, quoting each string with the C encoder: same bytes.
+    if obj and isinstance(obj, list) and all(
+            row and isinstance(row, dict)
+            and all(isinstance(k, str) and isinstance(v, str) for k, v in row.items())
+            for row in obj):
+        quote = json.encoder.encode_basestring
+        return "[\n" + ",\n".join(
+            "  {\n" + ",\n".join(f"    {quote(k)}: {quote(v)}"
+                                 for k, v in sorted(row.items())) + "\n  }"
+            for row in obj) + "\n]\n"
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
                       allow_nan=False) + "\n"
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimasr import cli, encoding, ensemble, trainer
@@ -755,6 +755,26 @@ class TestPredictionFiles:
         assert str(exc.value) == f"{path}: record 1: field 'VA': {detail}"
 
 
+# Any text, plus the characters JSON must escape and non-ASCII it must not.
+json_text = st.one_of(st.text(), st.sampled_from(
+    ['"', "\\", "\x00\x1f\n\t\r", "屏幕 é", "\u2028\x7f"]))
+
+
+class TestCanonicalJson:
+    @settings(max_examples=200, deadline=None)
+    @given(obj=st.one_of(
+        st.lists(st.dictionaries(json_text, json_text)),
+        st.lists(st.dictionaries(json_text, st.one_of(json_text, st.integers(),
+                                                      st.none())))))
+    @example(obj=[])
+    @example(obj=[{}])
+    @example(obj=[{"ID": "r0", "VA": "5.00#4.25"}, {}])
+    def test_equals_json_dumps(self, obj):
+        assert cli.canonical_json(obj) == json.dumps(
+            obj, sort_keys=True, indent=2, ensure_ascii=False,
+            allow_nan=False) + "\n"
+
+
 class TestManifests:
     def test_every_stage_writes_manifest(self, pipeline):
         for stage_dir in ("insts/train", "ckpts", "preds/dev", "ens",
@@ -812,7 +832,8 @@ class TestManifests:
 
 class TestStageImports:
     """preprocess and submit never touch an array, so they run without
-    loading numpy; train imports the layers it needs when it runs."""
+    loading numpy; train imports the layers it needs when it runs, and not
+    numpy.ma."""
 
     SCRIPT = """
 import json, sys
@@ -827,6 +848,7 @@ loaded["submit"] = "numpy" in sys.modules
 codes["train"] = cli.main(["train", "--data", work + "/insts",
                            "--out", work + "/ckpts", "--config", config])
 loaded["train"] = "numpy" in sys.modules
+loaded["train numpy.ma"] = "numpy.ma" in sys.modules
 print(json.dumps({"loaded": loaded, "codes": codes}))
 """
 
@@ -849,7 +871,8 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["codes"] == {"preprocess": 0, "submit": 0, "train": 0}
         assert result["loaded"] == {"import": False, "preprocess": False,
-                                    "submit": False, "train": True}
+                                    "submit": False, "train": True,
+                                    "train numpy.ma": False}
         assert sorted(p.name for p in (work / "ckpts").glob("*.ckpt")) == ["M1.ckpt"]
 
 

@@ -234,6 +234,11 @@ class TestEncodeBatch:
         with pytest.raises(EncodingError, match="length"):
             encode([bad], SPEC)
 
+    def test_negative_token_id_rejected(self):
+        bad = SentencePairInput(tokens=(FIRST_SPECIAL_ID, -5) + (PAD_ID,) * 30)
+        with pytest.raises(EncodingError, match="non-negative, got -5"):
+            encode([bad], SPEC)
+
     def test_instance_features(self):
         instances = make_instances("zho-res", 5, seed=0)
         feats = instance_features(instances, SPEC)
@@ -304,3 +309,30 @@ class TestBatchedEncoderBitExact:
         out = encode([SentencePairInput(tokens=tuple(r.tolist())) for r in rows],
                      spec)
         assert_rows_match_oracle(out, rows.tolist(), 5, 3)
+
+
+def stacked_default_rng(ids, d, seed):
+    """One numpy generator per id, as the toy rule defines token vectors."""
+    return np.array([np.random.default_rng([seed, i]).uniform(-1.0, 1.0, d)
+                     for i in ids]).reshape(len(ids), d)
+
+
+class TestTokenTableBitExact:
+    # Seed and id words together cross SeedSequence's pool of 4 words: the
+    # seeds span 1 to 4 words and ids above 2**32 take 2.
+    SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(ids=st.lists(st.integers(N_RESERVED, 2**40), unique=True, max_size=40),
+           d=st.integers(2, 64), seed=st.sampled_from(SEEDS))
+    def test_equals_default_rng(self, ids, d, seed):
+        got = encoding._token_table(np.array(ids, dtype=np.int64), d, seed)
+        assert got.shape == (len(ids), d)
+        assert got.tobytes() == stacked_default_rng(ids, d, seed).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("ids", [[], [N_RESERVED], [2**32 - 1, 2**32, 2**40]])
+    def test_edge_ids(self, ids, seed):
+        got = encoding._token_table(np.array(ids, dtype=np.int64), 7, seed)
+        assert got.shape == (len(ids), 7)
+        assert got.tobytes() == stacked_default_rng(ids, 7, seed).tobytes()
