@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, corpus
 from .corpus import (REGIMES, Instance, PairID, ParseError, VAScore, format_va,
-                     pair_sort_key, parse_va)
+                     pair_sort_key, parse_va, read_json, record_error)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,17 +63,6 @@ def write_json(path: Path, obj) -> None:
     path.write_text(canonical_json(obj), encoding="utf-8")
 
 
-def read_json(path: Path | str):
-    """The JSON value in `path`; a file that cannot be read or is not valid
-    UTF-8 JSON, as when cut short, is a ParseError naming it."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-
-
 def sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -104,16 +93,6 @@ def _file_pair(path: Path) -> PairID:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _record_error(path: Path, i: int, problem: Exception | str) -> ParseError:
-    """One line naming record i of `path`: a KeyError names the missing field,
-    a TypeError a record that is not an object, any other problem the VA."""
-    if isinstance(problem, KeyError):
-        return ParseError(f"{path}: record {i}: field {problem.args[0]!r}: missing")
-    if isinstance(problem, TypeError):
-        return ParseError(f"{path}: record {i}: not an object")
-    return ParseError(f"{path}: record {i}: field 'VA': {problem}")
-
-
 def _check_unique(path: Path, keys: list[tuple[str, str]]) -> None:
     """A ParseError naming the record that repeats an earlier (ID, Aspect) key."""
     first_at = {}
@@ -124,18 +103,29 @@ def _check_unique(path: Path, keys: list[tuple[str, str]]) -> None:
 
 
 def load_instances(path: Path) -> list[Instance]:
-    """Instances of a per-pair file.  A record without ID, Text or Aspect, a
-    bad VA or a repeated (ID, Aspect) key is a ParseError naming the record."""
+    """Instances of a per-pair file.  A record that is not an object, an ID,
+    Text or Aspect that is missing or not a string, a blank Aspect, a bad VA
+    or a repeated (ID, Aspect) key is a ParseError naming the record."""
     pair = _file_pair(path)
     rows = read_json(path)
+    if not isinstance(rows, list):
+        raise ParseError(f"{path}: not a JSON array")
     instances = []
-    try:
-        for row in rows:
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ParseError(f"{path}: record {i}: not an object")
+        for name in ("ID", "Text", "Aspect"):
+            if not isinstance(row.get(name), str):
+                detail = "not a string" if name in row else "missing"
+                raise record_error(path, i, name, detail)
+        if not row["Aspect"].strip():   # no token to encode
+            raise record_error(path, i, "Aspect", "blank")
+        try:
             gold = parse_va(row["VA"]) if "VA" in row else None
-            instances.append(Instance(id=row["ID"], text=row["Text"],
-                                      aspect=row["Aspect"], gold=gold, pair=pair))
-    except (KeyError, TypeError, ParseError) as exc:
-        raise _record_error(path, len(instances), exc) from None
+        except ParseError as exc:
+            raise record_error(path, i, "VA", str(exc)) from None
+        instances.append(Instance(id=row["ID"], text=row["Text"],
+                                  aspect=row["Aspect"], gold=gold, pair=pair))
     _check_unique(path, [inst.key for inst in instances])
     return instances
 
@@ -158,13 +148,15 @@ def _prediction_rows(path: Path) -> tuple[list[tuple[str, str]], list[float]]:
             keys.append((row["ID"], row["Aspect"]))
             valence, _, arousal = row["VA"].partition("#")
             flat += (float(valence), float(arousal))
-    except (KeyError, TypeError) as exc:
-        raise _record_error(path, i, exc) from None
+    except KeyError as exc:
+        raise record_error(path, i, exc.args[0], "missing") from None
+    except TypeError:
+        raise ParseError(f"{path}: record {i}: not an object") from None
     except (AttributeError, ValueError):
-        raise _record_error(path, i, f"not a 'v#a' string: {rows[i]['VA']!r}") from None
+        raise record_error(path, i, "VA", f"not a 'v#a' string: {rows[i]['VA']!r}") from None
     if not all(map(math.isfinite, flat)):
         i = next(j for j, x in enumerate(flat) if not math.isfinite(x)) // 2
-        raise _record_error(path, i, f"non-finite VA value {rows[i]['VA']!r}")
+        raise record_error(path, i, "VA", f"non-finite VA value {rows[i]['VA']!r}")
     return keys, flat
 
 
@@ -338,20 +330,15 @@ def load_run_config(path: str | None, seed: int | None, regime: str
 def cmd_preprocess(args) -> int:
     stage = Stage("preprocess", args.out)
     files = stage.pair_files("input", args.input, pairs=args.pairs)
-    failures = 0
+    # Every file is parsed before any is written: a bad one stops the stage.
+    parsed = {pair: corpus.parse_quadruplet_file(f, pair) for pair, f in files.items()}
     total = corpus.PreprocessReport()
     per_pair = {}
-    for pair, f in files.items():
-        try:
-            records = corpus.parse_quadruplet_file(f, pair)
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            failures += 1
-            continue
+    for pair, records in parsed.items():
         instances, report = corpus.preprocess(records)
         if not instances:
             logger.warning("%s: no instances survive preprocessing (%s)",
-                           f.name, report.as_dict())
+                           files[pair].name, report.as_dict())
         write_json(stage.output(f"{pair}.json"), instance_rows(instances))
         per_pair[str(pair)] = report.as_dict()
         total = total.merged(report)
@@ -360,7 +347,7 @@ def cmd_preprocess(args) -> int:
     stage.finish({"pairs": args.pairs})
     logger.info("preprocess: %d files, %d instances out, report at %s",
                 len(files), total.instances_out, report_path)
-    return 1 if failures else 0
+    return 0
 
 
 def cmd_train(args) -> int:
@@ -369,12 +356,20 @@ def cmd_train(args) -> int:
     stage = Stage("train", args.out)
     if args.config:
         stage.read("config", Path(args.config).parent, [Path(args.config)])
-    per_pair = {pair: load_instances(f) for pair, f in
-                stage.pair_files("data", args.data, pairs=args.pairs).items()}
+    files = stage.pair_files("data", args.data, pairs=args.pairs)
+    per_pair = {pair: load_instances(f) for pair, f in files.items()}
+    unlabelled = [(f, i) for pair, f in files.items()
+                  for i, inst in enumerate(per_pair[pair]) if inst.gold is None]
+    if unlabelled:
+        raise record_error(*unlabelled[0], "VA", "missing; training needs gold VA")
+    splits = ({args.data: corpus.pool_pairs(per_pair)} if args.regime == "joint"
+              else {files[pair]: insts for pair, insts in per_pair.items()})
+    for where, instances in splits.items():
+        if len({inst.id for inst in instances}) < 2:
+            raise ParseError(f"{where}: fewer than two records to split for validation")
     if args.regime == "joint":
-        pooled = corpus.pool_pairs(per_pair)
         train_set, val_set = corpus.split_train_validation(
-            pooled, fraction, grid[0].seed)
+            splits[args.data], fraction, grid[0].seed)
         checkpoints = trainer.train_grid(train_set, val_set, grid, spec)
     else:
         # Separate regime trains its one grid config independently per pair.

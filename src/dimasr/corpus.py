@@ -78,9 +78,9 @@ class VAScore:
     valence: float
     arousal: float
 
-    def in_range(self, lo: float = VA_MIN, hi: float = VA_MAX) -> bool:
+    def in_range(self) -> bool:
         # nan and infinities fail the comparisons with finite bounds
-        return lo <= self.valence <= hi and lo <= self.arousal <= hi
+        return VA_MIN <= self.valence <= VA_MAX and VA_MIN <= self.arousal <= VA_MAX
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.valence, self.arousal)
@@ -194,37 +194,57 @@ class PreprocessReport:
         return out
 
 
-def _record_error(path, index: int, field_name: str, detail: str) -> ParseError:
+def read_text(path) -> str:
+    """The text of `path`; an unreadable or non-UTF-8 file is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from None
+
+
+def read_json(path):
+    """The JSON value in `path` (see read_text); invalid JSON is a ParseError."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
+def record_error(path, index: int, field_name: str, detail: str) -> ParseError:
+    """One line naming the file, the record and the field at fault."""
     return ParseError(f"{path}: record {index}: field {field_name!r}: {detail}")
 
 
 def _parse_record(obj, index: int, pair: PairID, path) -> RawRecord:
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: record {index}: not an object")
-    try:
-        rec_id = str(obj["ID"])
-    except KeyError:
-        raise _record_error(path, index, "ID", "missing") from None
+    if "ID" not in obj:
+        raise record_error(path, index, "ID", "missing")
+    rec_id = str(obj["ID"])
     text = obj.get("Text")
     if not isinstance(text, str):
-        raise _record_error(path, index, "Text", "missing or not a string")
+        raise record_error(path, index, "Text", "missing or not a string")
 
     quads = []
     raw_quads = obj.get("Quadruplets", [])
     if not isinstance(raw_quads, list):
-        raise _record_error(path, index, "Quadruplets", "not a list")
+        raise record_error(path, index, "Quadruplets", "not a list")
     for qi, q in enumerate(raw_quads):
         if not isinstance(q, dict):
-            raise _record_error(path, index, "Quadruplets",
-                                f"entry {qi} is not an object")
+            raise record_error(path, index, "Quadruplets",
+                               f"entry {qi} is not an object")
         aspect = q.get("Aspect")
         if aspect is not None:
             aspect = str(aspect)
+            if not aspect.strip():   # no token to encode
+                raise record_error(path, index, "Aspect", f"blank in entry {qi}")
         va_raw = q.get("VA")
         try:
             va = parse_va(va_raw) if va_raw is not None else None
         except ParseError as exc:
-            raise _record_error(path, index, "VA", str(exc)) from None
+            raise record_error(path, index, "VA", str(exc)) from None
         quads.append(Quadruplet(
             aspect=aspect,
             category=str(q.get("Category", "")),
@@ -238,13 +258,12 @@ def parse_quadruplet_file(path, pair: PairID) -> list[RawRecord]:
     """Parse one raw annotation file into RawRecords, preserving order.
 
     Accepts a JSON array of record objects or JSONL (one object per line).
-    Malformed records raise ParseError naming the record index and field.
+    An unreadable file or a malformed record raises ParseError naming the
+    file and, for a record, its index and field.
     """
-    path = Path(path)
-    raw = path.read_text(encoding="utf-8")
-    stripped = raw.lstrip()
+    raw = read_text(path)
     try:
-        if stripped.startswith("["):
+        if raw.lstrip().startswith("["):
             objs = json.loads(raw)
         else:
             objs = [json.loads(line) for line in raw.splitlines() if line.strip()]
@@ -255,7 +274,7 @@ def parse_quadruplet_file(path, pair: PairID) -> list[RawRecord]:
     seen: set[str] = set()
     for i, rec in enumerate(records):
         if rec.id in seen:
-            raise _record_error(path, i, "ID", f"duplicate id {rec.id!r}")
+            raise record_error(path, i, "ID", f"duplicate id {rec.id!r}")
         seen.add(rec.id)
     return records
 

@@ -88,10 +88,6 @@ class EncoderSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class SentencePairInput:
@@ -285,24 +281,6 @@ def _toy_rows(rows, n: int, d: int, seed: int) -> np.ndarray:
 def toy_encode(pair_input: SentencePairInput, d: int, seed: int) -> np.ndarray:
     """Apply the toy encoding rule (module docstring) to one sequence."""
     return _toy_rows(iter([pair_input.tokens]), 1, d, seed)[0]
-
-
-def encode(inputs: list[SentencePairInput], spec: EncoderSpec) -> np.ndarray:
-    """Encode a batch of formatted sequences into frozen (n, d) toy features.
-
-    Deterministic given (inputs, spec); a trainable projection is applied
-    downstream through apply_projection().
-    """
-    if spec.backend != BACKEND_TOY:
-        raise EncodingError(
-            "token-level encode() is only defined for the toy backend; "
-            "use hf_backend.PretrainedEncoder for pretrained embeddings")
-    for i, item in enumerate(inputs):
-        if len(item.tokens) != spec.max_len:
-            raise EncodingError(
-                f"input {i} has length {len(item.tokens)}, spec.max_len is {spec.max_len}")
-    return _toy_rows((item.tokens for item in inputs), len(inputs),
-                     spec.hidden_size, spec.seed)
 
 
 def apply_projection(feats: np.ndarray, projection: np.ndarray | None) -> np.ndarray:

@@ -90,12 +90,11 @@ class EvalReport:
             "n_per_pair": {str(p): self.n_per_pair[p] for p in pairs},
         }
 
-    def render_table(self, precision: int = 4) -> str:
-        """Column-per-pair table (official order first), average last."""
+    def render_table(self) -> str:
+        """Column-per-pair table (official order first), average last; 4 decimals."""
         pairs = sorted(self.per_pair, key=pair_sort_key)
         names = [str(p) for p in pairs] + ["Avg."]
-        values = [f"{self.per_pair[p]:.{precision}f}" for p in pairs]
-        values.append(f"{self.average:.{precision}f}")
+        values = [f"{self.per_pair[p]:.4f}" for p in pairs] + [f"{self.average:.4f}"]
         counts = [str(self.n_per_pair[p]) for p in pairs] + [""]
         widths = [max(len(a), len(b), len(c))
                   for a, b, c in zip(names, values, counts)]

@@ -21,7 +21,7 @@ from .encoding import EncoderSpec
 logger = logging.getLogger(__name__)
 
 # AdamW constants; unstated by the protocol, fixed here and recorded in every
-# checkpoint header via the config.
+# checkpoint header.
 ADAMW_BETAS = (0.9, 0.999)
 ADAMW_EPS = 1e-8
 ADAMW_WEIGHT_DECAY = 0.01
@@ -62,12 +62,8 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
-
-def default_grid(seed: int = 42, regime: str = "joint") -> list[TrainConfig]:
+def default_grid() -> list[TrainConfig]:
     """The seven candidate configurations (M1..M7): five bounded, two raw."""
     rows = [
         (16, 1e-5, 7, True),
@@ -78,8 +74,7 @@ def default_grid(seed: int = 42, regime: str = "joint") -> list[TrainConfig]:
         (32, 8e-6, 3, True),
         (32, 8e-6, 7, False),
     ]
-    return [TrainConfig(batch_size=b, learning_rate=lr, max_epochs=e,
-                        bounded=s, seed=seed, regime=regime)
+    return [TrainConfig(batch_size=b, learning_rate=lr, max_epochs=e, bounded=s)
             for b, lr, e, s in rows]
 
 
@@ -90,47 +85,42 @@ class AdamW:
     multiplied by the learning rate, as in the decoupled formulation).
     """
 
-    def __init__(self, learning_rate: float, betas=ADAMW_BETAS, eps=ADAMW_EPS,
-                 weight_decay=ADAMW_WEIGHT_DECAY, no_decay=("b",)):
+    def __init__(self, learning_rate: float):
         self.lr = learning_rate
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.no_decay = set(no_decay)
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
+        beta1, beta2 = ADAMW_BETAS
         for name, g in grads.items():
             p = params[name]
             if name not in self._m:
                 self._m[name] = np.zeros_like(p)
                 self._v[name] = np.zeros_like(p)
-            if name not in self.no_decay:
-                p -= self.lr * self.weight_decay * p
+            if name != "b":   # the head's bias
+                p -= self.lr * ADAMW_WEIGHT_DECAY * p
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            m_hat = m / (1.0 - beta1 ** self.t)
+            v_hat = v / (1.0 - beta2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
 
 
 class EarlyStopping:
     """Stop after `patience` consecutive epochs without strict improvement.
 
-    Improvement means the monitored value drops by more than `delta`; ties
-    count as non-improvement.
+    Improvement means the monitored value drops by more than
+    IMPROVEMENT_DELTA; ties count as non-improvement.
     """
 
-    def __init__(self, patience: int = 2, delta: float = IMPROVEMENT_DELTA):
+    def __init__(self, patience: int = 2):
         self.patience = patience
-        self.delta = delta
         self.counter = 0
         self.best_score: float | None = None
         self.best_epoch: int | None = None
@@ -138,7 +128,7 @@ class EarlyStopping:
 
     def update(self, score: float, epoch: int) -> bool:
         """Record an epoch result; returns True when this epoch is the new best."""
-        if self.best_score is None or score < self.best_score - self.delta:
+        if self.best_score is None or score < self.best_score - IMPROVEMENT_DELTA:
             self.best_score = score
             self.best_epoch = epoch
             self.counter = 0
@@ -195,12 +185,11 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         header, arrays = regressor.load_checkpoint(path)
-        config = TrainConfig.from_dict(header["config"])
         head = regressor.HeadParams(W=arrays["W"], b=arrays["b"],
                                     dropout_rate=header["dropout_rate"],
                                     bounded=header["bounded"])
-        return cls(id=header["id"], config=config,
-                   encoder_spec=EncoderSpec.from_dict(header["encoder"]),
+        return cls(id=header["id"], config=TrainConfig(**header["config"]),
+                   encoder_spec=EncoderSpec(**header["encoder"]),
                    head=head, projection=arrays.get("A"),
                    best_val_rmse=header["best_val_rmse"],
                    epoch_of_best=header["epoch_of_best"])
@@ -304,29 +293,19 @@ def train(train_set: list[Instance], validation_set: list[Instance],
 
 
 def train_grid(train_set: list[Instance], validation_set: list[Instance],
-               configs: list[TrainConfig], encoder_spec: EncoderSpec,
-               ids: list[str] | None = None) -> list[Checkpoint]:
-    """Train one checkpoint per config; ids default to M1..Mk in config order.
+               configs: list[TrainConfig], encoder_spec: EncoderSpec) -> list[Checkpoint]:
+    """Train one checkpoint per config, with ids M1..Mk in config order.
 
     Features depend on the encoder spec and the instances only, so both sets
     are encoded once, ahead of the first config, and shared by every run.
     """
     if len(set(configs)) != len(configs):
         raise ValueError("grid configs must be distinct")
-    if ids is None:
-        ids = [f"M{i + 1}" for i in range(len(configs))]
-    checkpoints = []
-    encoded = None
-    for cid, config in zip(ids, configs):
-        try:
-            if encoded is None:
-                encoded = (_encode_set(train_set, encoder_spec, "training"),
-                           _encode_set(validation_set, encoder_spec, "validation"))
-            checkpoints.append(train(train_set, validation_set, config,
-                                     encoder_spec, ckpt_id=cid, encoded=encoded))
-        except Exception as exc:
-            raise TrainingError(f"{cid}: {exc}") from exc
-    return checkpoints
+    encoded = (_encode_set(train_set, encoder_spec, "training"),
+               _encode_set(validation_set, encoder_spec, "validation"))
+    return [train(train_set, validation_set, config, encoder_spec,
+                  ckpt_id=f"M{i}", encoded=encoded)
+            for i, config in enumerate(configs, start=1)]
 
 
 def train_separate(per_pair: dict[PairID, list[Instance]], config: TrainConfig,

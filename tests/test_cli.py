@@ -177,6 +177,23 @@ class TestPreprocessStage:
         assert run(["preprocess", "--input", str(src), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "record 0" in err and "Text" in err
+        assert not out.exists()   # every file is parsed before any is written
+
+    @pytest.mark.parametrize("damage", ["not UTF-8", "directory"])
+    def test_unreadable_raw_file_names_path(self, raw_data, tmp_path, capsys,
+                                            damage):
+        src = tmp_path / "in"
+        shutil.copytree(raw_data / "train", src)
+        if damage == "directory":
+            bad = src / "fr-res.json"
+            bad.mkdir()
+        else:
+            bad = src / "eng-res.json"
+            bad.write_bytes('[{"ID": "r0", "Text": "café"}]'.encode("latin-1"))
+        out = tmp_path / "out"
+        assert run(["preprocess", "--input", str(src), "--out", str(out)]) == 1
+        assert single_error_line(capsys).startswith(f"error: {bad}: ")
+        assert not out.exists()
 
     def test_pairs_filter(self, raw_data, tmp_path):
         out = tmp_path / "filtered"

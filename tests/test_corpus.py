@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -139,6 +140,20 @@ class TestParseFile:
                 {"ID": "a", "Text": "u", "Quadruplets": []}]
         with pytest.raises(ParseError, match="duplicate id"):
             parse_quadruplet_file(self.write(tmp_path, rows), PAIR)
+
+    def test_blank_aspect_names_record_and_field(self, tmp_path):
+        rows = [{"ID": "a", "Text": "t",
+                 "Quadruplets": [{"Aspect": "x"}, {"Aspect": " \n"}]}]
+        with pytest.raises(ParseError, match=r"record 0: field 'Aspect': blank in entry 1"):
+            parse_quadruplet_file(self.write(tmp_path, rows), PAIR)
+
+    def test_unreadable_file_names_path(self, tmp_path):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(tmp_path))}: cannot read"):
+            parse_quadruplet_file(tmp_path, PAIR)
+        path = tmp_path / "zho-res.json"
+        path.write_bytes(b'[{"ID": "a", "Text": "caf\xe9"}]')
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not UTF-8"):
+            parse_quadruplet_file(path, PAIR)
 
 
 class TestPreprocess:

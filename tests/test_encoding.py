@@ -17,7 +17,6 @@ from dimasr.encoding import (
     EncodingError,
     SentencePairInput,
     apply_projection,
-    encode,
     format_pair,
     init_projection,
     instance_features,
@@ -65,7 +64,7 @@ class TestSpec:
 
     def test_dict_round_trip(self):
         spec = EncoderSpec(max_len=64, hidden_size=16, seed=3)
-        assert EncoderSpec.from_dict(spec.to_dict()) == spec
+        assert EncoderSpec(**spec.to_dict()) == spec
 
 
 class TestTokenizer:
@@ -188,56 +187,54 @@ class TestToyEncode:
             toy_encode(out, 1, 0)
 
 
+def toy_rows(rows, d, seed):
+    """The batched toy kernel on a list of id sequences."""
+    return encoding._toy_rows(iter(rows), len(rows), d, seed)
+
+
 class TestEncodeBatch:
     def batch(self, n=6, seed=2):
         rng = random.Random(seed)
-        return [format_pair(rand_words(rng, 1, 2), rand_words(rng, 2, 20), SPEC)
-                for _ in range(n)]
+        return [(rand_words(rng, 1, 2), rand_words(rng, 2, 20)) for _ in range(n)]
 
     def test_shape_and_order(self):
-        inputs = self.batch()
-        out = encode(inputs, SPEC)
-        assert out.shape == (len(inputs), SPEC.hidden_size)
-        for i, item in enumerate(inputs):
-            np.testing.assert_array_equal(out[i], toy_encode(item, 8, SPEC.seed))
+        pairs = self.batch()
+        out = pair_features(pairs, SPEC)
+        assert out.shape == (len(pairs), SPEC.hidden_size)
+        for i, (aspect, text) in enumerate(pairs):
+            np.testing.assert_array_equal(
+                out[i], toy_encode(format_pair(aspect, text, SPEC), 8, SPEC.seed))
 
     def test_identical_inputs_identical_embeddings(self):
-        item = self.batch(1)[0]
-        out = encode([item, item], SPEC)
+        pair = self.batch(1)[0]
+        out = pair_features([pair, pair], SPEC)
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_permutation_equivariant(self, rng):
-        inputs = self.batch(8)
+        pairs = self.batch(8)
         perm = rng.permutation(8)
-        a = encode(inputs, SPEC)[perm]
-        b = encode([inputs[i] for i in perm], SPEC)
+        a = pair_features(pairs, SPEC)[perm]
+        b = pair_features([pairs[i] for i in perm], SPEC)
         np.testing.assert_array_equal(a, b)
 
     def test_projection_applied(self):
-        inputs = self.batch(3)
+        feats = pair_features(self.batch(3), SPEC)
         proj = np.random.default_rng(0).normal(size=(8, 8))
-        np.testing.assert_allclose(apply_projection(encode(inputs, SPEC), proj),
-                                   encode(inputs, SPEC) @ proj.T)
+        np.testing.assert_allclose(apply_projection(feats, proj), feats @ proj.T)
 
     def test_identity_projection_is_noop(self):
-        inputs = self.batch(3)
-        feats = encode(inputs, SPEC)
+        feats = pair_features(self.batch(3), SPEC)
         np.testing.assert_array_equal(apply_projection(feats, init_projection(8)),
                                       feats)
 
     def test_projection_shape_mismatch_rejected(self):
         with pytest.raises(EncodingError, match="projection"):
-            apply_projection(encode(self.batch(2), SPEC), np.zeros((4, 4)))
-
-    def test_wrong_length_input_rejected(self):
-        bad = SentencePairInput(tokens=(FIRST_SPECIAL_ID, SEP_ID))
-        with pytest.raises(EncodingError, match="length"):
-            encode([bad], SPEC)
+            apply_projection(pair_features(self.batch(2), SPEC), np.zeros((4, 4)))
 
     def test_negative_token_id_rejected(self):
-        bad = SentencePairInput(tokens=(FIRST_SPECIAL_ID, -5) + (PAD_ID,) * 30)
+        bad = (FIRST_SPECIAL_ID, -5) + (PAD_ID,) * 30
         with pytest.raises(EncodingError, match="non-negative, got -5"):
-            encode([bad], SPEC)
+            toy_rows([bad], 8, 0)
 
     def test_instance_features(self):
         instances = make_instances("zho-res", 5, seed=0)
@@ -281,9 +278,7 @@ class TestBatchedEncoderBitExact:
         rows = data.draw(st.lists(st.lists(ids, min_size=max_len,
                                            max_size=max_len), max_size=12))
         rows.append([PAD_ID] * max_len)
-        spec = EncoderSpec(max_len=max_len, hidden_size=d, seed=seed)
-        out = encode([SentencePairInput(tokens=tuple(r)) for r in rows], spec)
-        assert_rows_match_oracle(out, rows, d, seed)
+        assert_rows_match_oracle(toy_rows(rows, d, seed), rows, d, seed)
 
     @settings(max_examples=40, deadline=None)
     @given(pairs=st.lists(st.tuples(
@@ -305,10 +300,7 @@ class TestBatchedEncoderBitExact:
         n = encoding._CHUNK_ROWS + 5
         rows = rng.integers(0, 30, size=(n, 8))
         rows[rows < 3] = PAD_ID
-        spec = EncoderSpec(max_len=8, hidden_size=5, seed=3)
-        out = encode([SentencePairInput(tokens=tuple(r.tolist())) for r in rows],
-                     spec)
-        assert_rows_match_oracle(out, rows.tolist(), 5, 3)
+        assert_rows_match_oracle(toy_rows(rows.tolist(), 5, 3), rows.tolist(), 5, 3)
 
 
 def stacked_default_rng(ids, d, seed):

@@ -80,6 +80,29 @@ ROWS = {
     "train encoder with unknown key": (
         ["train", "--data", "{root}/insts", "--config", "{root}/colour.json"],
         ["{root}/colour.json", "'encoder'", "'colour'"]),
+    "train instance ID not a string": (
+        ["train", "--data", "{root}/int-id", "--config", "{root}/one.json"],
+        [f"{{root}}/int-id/{SYNTH_PAIRS[0]}.json", "record 1", "'ID'"]),
+    "train instance Text null": (
+        ["train", "--data", "{root}/null-text", "--config", "{root}/one.json"],
+        [f"{{root}}/null-text/{SYNTH_PAIRS[0]}.json", "record 1", "'Text'"]),
+    "train instance Aspect not a string": (
+        ["train", "--data", "{root}/list-aspect", "--config", "{root}/one.json"],
+        [f"{{root}}/list-aspect/{SYNTH_PAIRS[0]}.json", "record 1", "'Aspect'"]),
+    "train blank instance Aspect": (
+        ["train", "--data", "{root}/blank-aspect", "--config", "{root}/one.json"],
+        [f"{{root}}/blank-aspect/{SYNTH_PAIRS[0]}.json", "record 1", "'Aspect'",
+         "blank"]),
+    "preprocess blank raw Aspect": (
+        ["preprocess", "--input", "{root}/blank-raw"],
+        [f"{{root}}/blank-raw/{SYNTH_PAIRS[0]}.json", "record 1", "'Aspect'",
+         "blank"]),
+    "train data without VA": (
+        ["train", "--data", "{root}/no-va", "--config", "{root}/one.json"],
+        [f"{{root}}/no-va/{SYNTH_PAIRS[0]}.json", "record 0", "'VA'"]),
+    "train data with one record": (
+        ["train", "--data", "{root}/one-record", "--config", "{root}/one.json"],
+        ["{root}/one-record", "fewer than two records"]),
 }
 
 
@@ -91,6 +114,23 @@ def config(path: Path, grid: list, **encoder) -> None:
 def truncate(path: Path) -> None:
     text = path.read_text(encoding="utf-8")
     path.write_text(text[:len(text) // 2], encoding="utf-8")
+
+
+def rewrite(src: Path, dest: Path, change) -> None:
+    """Copy the per-pair directory `src` to `dest`, passing the first pair
+    file's records through `change`."""
+    shutil.copytree(src, dest)
+    path = dest / f"{SYNTH_PAIRS[0]}.json"
+    rows = change(json.loads(path.read_text(encoding="utf-8")))
+    path.write_text(json.dumps(rows), encoding="utf-8")
+
+
+def set_field(field, value, index=1):
+    """A `rewrite` change that sets record `index`'s `field` to `value`."""
+    def change(rows):
+        rows[index][field] = value
+        return rows
+    return change
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +161,22 @@ def inputs(tmp_path_factory):
     for src, cut in (("insts", "cut-insts"), ("preds/M1", "cut-preds")):
         shutil.copytree(root / src, root / cut)
         truncate(root / cut / f"{SYNTH_PAIRS[0]}.json")
+    for name, change in (("int-id", set_field("ID", 5)),
+                         ("null-text", set_field("Text", None)),
+                         ("list-aspect", set_field("Aspect", ["battery"])),
+                         ("blank-aspect", set_field("Aspect", " \t"))):
+        rewrite(root / "insts", root / name, change)
+    rewrite(root / "insts", root / "no-va",
+            lambda rows: [{k: v for k, v in r.items() if k != "VA"} for r in rows])
+    rewrite(root / "insts", root / "one-record",
+            lambda rows: [r for r in rows if r["ID"] == rows[0]["ID"]])
+    for pair in SYNTH_PAIRS[1:]:
+        (root / "one-record" / f"{pair}.json").unlink()
+
+    def blank_raw_aspect(rows):
+        rows[1]["Quadruplets"][0]["Aspect"] = "  "
+        return rows
+    rewrite(root / "raw", root / "blank-raw", blank_raw_aspect)
     return root
 
 

@@ -11,6 +11,9 @@ from dimasr import encoding, metrics, regressor
 from dimasr.corpus import REGIMES, Instance, PairID, VAScore
 from dimasr.encoding import EncoderSpec
 from dimasr.trainer import (
+    ADAMW_BETAS,
+    ADAMW_EPS,
+    ADAMW_WEIGHT_DECAY,
     AdamW,
     Checkpoint,
     EarlyStopping,
@@ -80,11 +83,26 @@ class TestAdamW:
         assert np.all(params["W"] != before)
 
     def test_bias_exempt_from_decay(self):
-        params = {"b": np.array([10.0, -10.0])}
-        AdamW(learning_rate=0.1, weight_decay=0.5).step(
-            params, {"b": np.zeros(2)})
-        # zero gradient, no decay on b -> unchanged
+        params = {"W": np.array([10.0, -10.0]), "b": np.array([10.0, -10.0])}
+        AdamW(learning_rate=0.1).step(params, {"W": np.zeros(2), "b": np.zeros(2)})
+        # zero gradient: W decays, b is unchanged
+        assert np.all(np.abs(params["W"]) < 10.0)
         np.testing.assert_array_equal(params["b"], [10.0, -10.0])
+
+    def test_one_step_equals_update_by_hand(self, rng):
+        lr, (beta1, beta2) = 0.05, ADAMW_BETAS
+        params = {"W": rng.normal(size=(2, 4)), "b": rng.normal(size=2)}
+        grads = {"W": rng.normal(size=(2, 4)), "b": rng.normal(size=2)}
+        expected = {}
+        for name, p in params.items():
+            if name == "W":
+                p = p - lr * ADAMW_WEIGHT_DECAY * p
+            m_hat = (1.0 - beta1) * grads[name] / (1.0 - beta1)
+            v_hat = (1.0 - beta2) * (grads[name] * grads[name]) / (1.0 - beta2)
+            expected[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
+        AdamW(learning_rate=lr).step(params, grads)
+        for name in params:
+            assert params[name].tobytes() == expected[name].tobytes()
 
 
 class TestTrainLoop:
@@ -203,7 +221,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = config(bounded=False, regime="separate")
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig(**cfg.to_dict()) == cfg
 
 
 class TestGrid:
@@ -225,9 +243,6 @@ class TestGrid:
         configs = [config(max_epochs=1, seed=s) for s in (1, 2, 3)]
         ckpts = train_grid(train_set, val_set, configs, SPEC)
         assert [c.id for c in ckpts] == ["M1", "M2", "M3"]
-
-    def test_empty_grid(self):
-        assert train_grid([], [], [], SPEC) == []
 
     def test_duplicate_configs_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -275,10 +290,13 @@ class TestGrid:
             assert ckpt.history == alone.history
 
     def test_errors_carry_config_id(self):
-        bad = make_instances("zho-res", 4, seed=9, with_gold=False)
+        train_set = make_instances("zho-res", 8, seed=9)
+        poisoned = train_set + [Instance(
+            id="bad", text="boom", aspect="boom",
+            gold=VAScore(float("inf"), 5.0), pair=train_set[0].pair)]
         val = make_instances("zho-res", 4, seed=1)
-        with pytest.raises(TrainingError, match="M1"):
-            train_grid(bad, val, [config()], SPEC)
+        with pytest.raises(TrainingError, match=r"^M1: non-finite loss at epoch 1"):
+            train_grid(poisoned, val, [config(batch_size=32)], SPEC)
 
 
 class TestSeparate:
