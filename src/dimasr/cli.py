@@ -20,6 +20,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -139,8 +140,8 @@ def write_predictions(path: Path, keys: list[tuple[str, str]],
 
 def _prediction_rows(path: Path) -> tuple[list[tuple[str, str]], list[float]]:
     """A prediction file's keys and its VA values flat as [v0, a0, v1, ...],
-    read without numpy; a record without ID, Aspect or a finite "v#a" VA is
-    a ParseError naming the path, the record and the field."""
+    read without numpy; a record without a string ID and Aspect or a finite
+    "v#a" VA is a ParseError naming the path, the record and the field."""
     rows = read_json(path)
     keys, flat, i = [], [], 0
     try:
@@ -154,6 +155,10 @@ def _prediction_rows(path: Path) -> tuple[list[tuple[str, str]], list[float]]:
         raise ParseError(f"{path}: record {i}: not an object") from None
     except (AttributeError, ValueError):
         raise record_error(path, i, "VA", f"not a 'v#a' string: {rows[i]['VA']!r}") from None
+    for i, (rid, aspect) in enumerate(keys):
+        if not (isinstance(rid, str) and isinstance(aspect, str)):
+            raise record_error(path, i, "Aspect" if isinstance(rid, str) else "ID",
+                               "not a string")
     if not all(map(math.isfinite, flat)):
         i = next(j for j, x in enumerate(flat) if not math.isfinite(x)) // 2
         raise record_error(path, i, "VA", f"non-finite VA value {rows[i]['VA']!r}")
@@ -248,11 +253,7 @@ def _match_gold(gold_dir: str, gold: dict[PairID, Path],
 # ---------------------------------------------------------------------------
 # run configuration
 
-RUN_CONFIG_KEYS = frozenset(
-    {"encoder", "seed", "patience", "dropout_rate", "validation_fraction", "grid"})
-REQUIRED_GRID_KEYS = ("batch_size", "learning_rate", "max_epochs", "bounded")
-GRID_ENTRY_KEYS = frozenset(
-    {*REQUIRED_GRID_KEYS, "seed", "patience", "dropout_rate"})
+RUN_CONFIG_KEYS = frozenset({"encoder", "validation_fraction", "grid"})
 
 
 def _reject_unknown_keys(obj: dict, known: frozenset, where: str) -> None:
@@ -262,10 +263,11 @@ def _reject_unknown_keys(obj: dict, known: frozenset, where: str) -> None:
                          f"(known: {', '.join(sorted(known))})")
 
 
-def _check_grid(grid: list, path: str, regime: str) -> None:
+def _check_grid(grid: list, path: str, regime: str, known: frozenset,
+                required: list[str]) -> None:
     """A ParseError naming the file, entry and key of an empty grid, a grid
-    entry that is not an object or has an unknown or a missing key, or a
-    grid of several entries under --regime separate, which trains one."""
+    entry that is not an object, has a key not `known` or lacks a `required`
+    one, or a grid of several entries under --regime separate (trains one)."""
     if not isinstance(grid, list) or not grid:
         raise ParseError(f"{path}: key 'grid': no entries")
     if regime == "separate" and len(grid) > 1:
@@ -274,8 +276,8 @@ def _check_grid(grid: list, path: str, regime: str) -> None:
     for i, entry in enumerate(grid):
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: grid entry {i}: not an object")
-        _reject_unknown_keys(entry, GRID_ENTRY_KEYS, f"{path}: grid entry {i}")
-        for key in REQUIRED_GRID_KEYS:
+        _reject_unknown_keys(entry, known, f"{path}: grid entry {i}")
+        for key in required:
             if key not in entry:
                 raise ParseError(f"{path}: grid entry {i}: missing key {key!r}")
 
@@ -292,35 +294,41 @@ def load_run_config(path: str | None, seed: int | None, regime: str
                     ) -> tuple[encoding.EncoderSpec, list[trainer.TrainConfig], float]:
     """Resolve encoder spec, training grid and validation fraction.
 
-    Without a config file the grid is the default seven-candidate grid, or
-    its first entry under --regime separate; the --seed flag overrides any
-    configured seed.  A file that is missing, is not a JSON object, or has
-    an unknown key, a validation fraction outside (0, 1), a grid that
-    `_check_grid` rejects, or a value that EncoderSpec or TrainConfig
-    rejects raise ParseError (a ValueError).
+    A grid entry sets TrainConfig's fields but `regime`, at least those
+    without a default; without a grid the entries are the default grid's, or
+    its first under --regime separate.  An entry's values win over the
+    file-wide ones, --seed wins over both, and --regime sets the regime.  A file
+    that is missing, is not a JSON object, or has an unknown key, a
+    validation fraction outside (0, 1), a grid that `_check_grid` rejects,
+    a value that EncoderSpec or TrainConfig rejects, or two grid entries
+    that resolve to one config raise ParseError.
     """
     from . import encoding, trainer
+    known = frozenset(f.name for f in fields(trainer.TrainConfig)) - {"regime"}
+    required = [f.name for f in fields(trainer.TrainConfig) if f.default is MISSING]
     raw = read_json(path) if path else {}
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: not a JSON object")
-    _reject_unknown_keys(raw, RUN_CONFIG_KEYS, str(path))
-    defaults = {"seed": seed if seed is not None else raw.get("seed", 42),
-                "patience": raw.get("patience", 2),
-                "dropout_rate": raw.get("dropout_rate", 0.1), "regime": regime}
+    _reject_unknown_keys(raw, RUN_CONFIG_KEYS | known.difference(required), str(path))
     fraction = raw.get("validation_fraction", 0.10)
     if not isinstance(fraction, (int, float)) or not 0.0 < fraction < 1.0:
         raise ParseError(f"{path}: key 'validation_fraction': must be in (0, 1), "
                          f"got {fraction!r}")
     spec = _build(encoding.EncoderSpec, raw.get("encoder", {}), f"{path}: key 'encoder'")
     if "grid" in raw:
-        _check_grid(raw["grid"], path, regime)
-        grid = [_build(trainer.TrainConfig, {**defaults, **entry}, f"{path}: grid entry {i}")
-                for i, entry in enumerate(raw["grid"])]
+        _check_grid(raw["grid"], path, regime, known, required)
+        entries = raw["grid"]
     else:
-        grid = [_build(trainer.TrainConfig, {**c.to_dict(), **defaults}, str(path))
-                for c in trainer.default_grid()]
-        if regime == "separate":
-            grid = grid[:1]
+        entries = [{key: getattr(c, key) for key in required}
+                   for c in trainer.default_grid()[:1 if regime == "separate" else None]]
+    file_wide = {key: value for key, value in raw.items() if key in known}
+    flags = {"regime": regime} if seed is None else {"regime": regime, "seed": seed}
+    grid = [_build(trainer.TrainConfig, {**file_wide, **entry, **flags},
+                   f"{path}: grid entry {i}" if "grid" in raw else str(path))
+            for i, entry in enumerate(entries)]
+    for i, config in enumerate(grid):
+        if config in grid[:i]:
+            raise ParseError(f"{path}: grid entry {i}: same as entry {grid.index(config)}")
     return spec, grid, fraction
 
 
@@ -351,7 +359,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from . import trainer
+    from . import encoding, trainer
     spec, grid, fraction = load_run_config(args.config, args.seed, args.regime)
     stage = Stage("train", args.out)
     if args.config:
@@ -362,19 +370,21 @@ def cmd_train(args) -> int:
                   for i, inst in enumerate(per_pair[pair]) if inst.gold is None]
     if unlabelled:
         raise record_error(*unlabelled[0], "VA", "missing; training needs gold VA")
-    splits = ({args.data: corpus.pool_pairs(per_pair)} if args.regime == "joint"
-              else {files[pair]: insts for pair, insts in per_pair.items()})
-    for where, instances in splits.items():
+    # Joint: the grid, as M1..Mk, on the pooled pairs; separate: its one config per pair.
+    groups = ([(args.data, corpus.pool_pairs(per_pair),
+                [f"M{i}" for i in range(1, len(grid) + 1)])]
+              if args.regime == "joint" else
+              [(files[pair], insts, [str(pair)]) for pair, insts in per_pair.items()])
+    checkpoints = []
+    for where, instances, ids in groups:
         if len({inst.id for inst in instances}) < 2:
             raise ParseError(f"{where}: fewer than two records to split for validation")
-    if args.regime == "joint":
         train_set, val_set = corpus.split_train_validation(
-            splits[args.data], fraction, grid[0].seed)
-        checkpoints = trainer.train_grid(train_set, val_set, grid, spec)
-    else:
-        # Separate regime trains its one grid config independently per pair.
-        checkpoints = list(trainer.train_separate(per_pair, grid[0], spec,
-                                                  fraction).values())
+            instances, fraction, grid[0].seed)
+        try:
+            checkpoints += trainer.train_grid(train_set, val_set, grid, spec, ids)
+        except (encoding.EncodingError, trainer.TrainingError) as exc:
+            raise ParseError(f"{where}: {exc}") from None
 
     for ckpt in checkpoints:
         ckpt.save(stage.output(f"{ckpt.id}.ckpt"))
@@ -396,21 +406,23 @@ def cmd_predict(args) -> int:
     ckpt_files = stage.read("ckpts", ckpt_dir, sorted(ckpt_dir.glob("*.ckpt")))
     if not ckpt_files:
         raise ParseError(f"{ckpt_dir}: no checkpoint files")
-    per_pair = {pair: load_instances(f) for pair, f in
-                stage.pair_files("data", args.data, pairs=args.pairs).items()}
+    files = stage.pair_files("data", args.data, pairs=args.pairs)
+    per_pair = {pair: load_instances(f) for pair, f in files.items()}
     checkpoints = [trainer.Checkpoint.load(f) for f in ckpt_files]
+    # Features depend on the encoder spec only: encode each pair once per
+    # distinct spec, every pair before any file is written.
+    features = {}
     for pair, instances in per_pair.items():
-        # Features depend on the encoder spec only: encode each pair once
-        # per distinct spec and share them across checkpoints.
-        features = {}
+        try:
+            for spec in dict.fromkeys(ckpt.encoder_spec for ckpt in checkpoints):
+                features[pair, spec] = encoding.instance_features(instances, spec)
+        except encoding.EncodingError as exc:
+            raise ParseError(f"{files[pair]}: {exc}") from None
+    for pair, instances in per_pair.items():
+        keys = [inst.key for inst in instances]
         for ckpt in checkpoints:
-            spec = ckpt.encoder_spec
-            if spec not in features:
-                features[spec] = encoding.instance_features(instances, spec)
-            preds = ckpt.predict(instances, features=features[spec])
-            write_predictions(stage.output(f"{ckpt.id}/{pair}.json"),
-                              [p.key for p in preds],
-                              [p.va.as_tuple() for p in preds])
+            write_predictions(stage.output(f"{ckpt.id}/{pair}.json"), keys,
+                              ckpt.predict(features[pair, ckpt.encoder_spec]).tolist())
     stage.finish({"pairs": args.pairs})
     logger.info("predict: %d checkpoints x %d pairs -> %s",
                 len(ckpt_files), len(per_pair), stage.out)

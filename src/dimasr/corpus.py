@@ -237,7 +237,9 @@ def _parse_record(obj, index: int, pair: PairID, path) -> RawRecord:
                                f"entry {qi} is not an object")
         aspect = q.get("Aspect")
         if aspect is not None:
-            aspect = str(aspect)
+            if not isinstance(aspect, str):
+                raise record_error(path, index, "Aspect",
+                                   f"not a string in entry {qi}")
             if not aspect.strip():   # no token to encode
                 raise record_error(path, index, "Aspect", f"blank in entry {qi}")
         va_raw = q.get("VA")
@@ -313,8 +315,8 @@ def preprocess(records: list[RawRecord]) -> tuple[list[Instance], PreprocessRepo
     return instances, report
 
 
-def split_train_validation(instances: list[Instance], fraction: float = 0.10,
-                           seed: int = 42) -> tuple[list[Instance], list[Instance]]:
+def split_train_validation(instances: list[Instance], fraction: float,
+                           seed: int) -> tuple[list[Instance], list[Instance]]:
     """Hold out ~`fraction` of the instances as validation, record-disjointly.
 
     Records are shuffled deterministically under `seed`; records from the

@@ -84,6 +84,8 @@ class EncoderSpec:
             raise EncodingError(f"vocab_size must exceed {N_RESERVED}")
         if self.seed < 0:
             raise EncodingError(f"seed must be non-negative, got {self.seed}")
+        if self.backend == BACKEND_PRETRAINED and not self.model_name:
+            raise EncodingError(f"backend {BACKEND_PRETRAINED!r} needs model_name")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -22,8 +22,6 @@ class PretrainedEncoder:
         if spec.backend != BACKEND_PRETRAINED:
             raise EncodingError(f"spec backend is {spec.backend!r}, "
                                 f"expected {BACKEND_PRETRAINED!r}")
-        if not spec.model_name:
-            raise EncodingError("pretrained backend needs spec.model_name")
         try:
             import torch
             from transformers import AutoModel, AutoTokenizer

@@ -65,8 +65,8 @@ class HeadParams:
 
     W: np.ndarray                 # (2, d)
     b: np.ndarray                 # (2,)
-    dropout_rate: float = 0.1
-    bounded: bool = True
+    dropout_rate: float
+    bounded: bool
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
@@ -83,8 +83,7 @@ class HeadParams:
         return self.W.shape[1]
 
 
-def init_head(d: int, seed: int, dropout_rate: float = 0.1,
-              bounded: bool = True) -> HeadParams:
+def init_head(d: int, seed: int, dropout_rate: float, bounded: bool) -> HeadParams:
     """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) weights, zero bias."""
     lim = 1.0 / np.sqrt(d)
     rng = np.random.default_rng(seed)

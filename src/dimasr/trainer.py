@@ -1,4 +1,4 @@
-"""Training loops: joint multilingual runs, the candidate grid, per-pair runs.
+"""Training loops: one run, and the candidate grid over one instance set.
 
 One run = AdamW over the head (and the toy encoder's trainable projection)
 with per-epoch seeded batch shuffling, validation RMSE after every epoch,
@@ -10,12 +10,12 @@ produce byte-identical checkpoints.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
 from . import encoding, metrics, regressor
-from .corpus import REGIMES, Instance, PairID, VAScore, split_train_validation
+from .corpus import REGIMES, Instance
 from .encoding import EncoderSpec
 
 logger = logging.getLogger(__name__)
@@ -119,7 +119,7 @@ class EarlyStopping:
     IMPROVEMENT_DELTA; ties count as non-improvement.
     """
 
-    def __init__(self, patience: int = 2):
+    def __init__(self, patience: int):
         self.patience = patience
         self.counter = 0
         self.best_score: float | None = None
@@ -152,17 +152,11 @@ class Checkpoint:
     epoch_of_best: int
     history: list[dict] = field(default_factory=list)
 
-    def predict(self, instances: list[Instance], *,
-                features: np.ndarray | None = None) -> list[metrics.Prediction]:
-        """Predict VA for `instances`; `features`, when given, are their
-        precomputed `encoding.instance_features` under this encoder spec."""
-        if features is None:
-            features = encoding.instance_features(instances, self.encoder_spec)
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """(n, 2) VA predictions from `features`, the instances'
+        `encoding.instance_features` under this checkpoint's encoder spec."""
         e = encoding.apply_projection(features, self.projection)
-        out = regressor.predict(e, self.head)
-        return [metrics.Prediction(id=inst.id, aspect=inst.aspect,
-                                   va=VAScore(float(v), float(a)))
-                for inst, (v, a) in zip(instances, out)]
+        return regressor.predict(e, self.head)
 
     def save(self, path) -> None:
         header = {
@@ -217,6 +211,9 @@ def _validation_rmse(feats: np.ndarray, golds: np.ndarray,
     return metrics.rmse_va(regressor.predict(e, head), golds)
 
 
+# Overflow shows as a non-finite loss or validation RMSE, which stop the run
+# with its config id, epoch and step; numpy's own warnings would say less.
+@np.errstate(over="ignore", invalid="ignore")
 def train(train_set: list[Instance], validation_set: list[Instance],
           config: TrainConfig, encoder_spec: EncoderSpec, *,
           ckpt_id: str = "M1", val_metric_fn=None,
@@ -245,7 +242,7 @@ def train(train_set: list[Instance], validation_set: list[Instance],
         tensors["A"] = projection
     opt = AdamW(config.learning_rate)
     rng = np.random.default_rng(config.seed)
-    stopper = EarlyStopping(patience=config.patience)
+    stopper = EarlyStopping(config.patience)
     best: dict[str, np.ndarray] = {k: v.copy() for k, v in tensors.items()}
     history: list[dict] = []
     n = len(feats)
@@ -271,6 +268,8 @@ def train(train_set: list[Instance], validation_set: list[Instance],
                 epoch, {"head": head, "projection": projection}))
         else:
             val_rmse = _validation_rmse(*val_encoded, head, projection)
+        if not np.isfinite(val_rmse):
+            raise TrainingError(f"{ckpt_id}: non-finite validation RMSE at epoch {epoch}")
         history.append({"epoch": epoch, "train_mse": train_mse,
                         "val_rmse": val_rmse})
         logger.info("%s epoch %d  train_mse %.6f  val_rmse %.6f",
@@ -293,8 +292,9 @@ def train(train_set: list[Instance], validation_set: list[Instance],
 
 
 def train_grid(train_set: list[Instance], validation_set: list[Instance],
-               configs: list[TrainConfig], encoder_spec: EncoderSpec) -> list[Checkpoint]:
-    """Train one checkpoint per config, with ids M1..Mk in config order.
+               configs: list[TrainConfig], encoder_spec: EncoderSpec,
+               ids: list[str]) -> list[Checkpoint]:
+    """Train one checkpoint per config, ids[i] naming the run of configs[i].
 
     Features depend on the encoder spec and the instances only, so both sets
     are encoded once, ahead of the first config, and shared by every run.
@@ -304,17 +304,5 @@ def train_grid(train_set: list[Instance], validation_set: list[Instance],
     encoded = (_encode_set(train_set, encoder_spec, "training"),
                _encode_set(validation_set, encoder_spec, "validation"))
     return [train(train_set, validation_set, config, encoder_spec,
-                  ckpt_id=f"M{i}", encoded=encoded)
-            for i, config in enumerate(configs, start=1)]
-
-
-def train_separate(per_pair: dict[PairID, list[Instance]], config: TrainConfig,
-                   encoder_spec: EncoderSpec,
-                   validation_fraction: float = 0.10) -> dict[PairID, Checkpoint]:
-    """One independent run per pair, trained on that pair's data only."""
-    config = replace(config, regime="separate")
-    out: dict[PairID, Checkpoint] = {}
-    for pair, instances in per_pair.items():
-        tr, val = split_train_validation(instances, validation_fraction, config.seed)
-        out[pair] = train(tr, val, config, encoder_spec, ckpt_id=str(pair))
-    return out
+                  ckpt_id=ckpt_id, encoded=encoded)
+            for ckpt_id, config in zip(ids, configs, strict=True)]

@@ -235,6 +235,35 @@ class TestTrainStage:
                     "--regime", "separate"]) == 0
         names = sorted(p.stem for p in out.glob("*.ckpt"))
         assert names == sorted(SYNTH_PAIRS)
+        for name in names:
+            ckpt = trainer.Checkpoint.load(out / f"{name}.ckpt")
+            assert ckpt.id == name
+            assert ckpt.config.regime == "separate"
+
+    def test_seed_flag_wins_over_grid_entry_seeds(self, pipeline, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(
+            {**RUN_CONFIG, "grid": [{**entry, "seed": 7} for entry in TINY_GRID]}),
+            encoding="utf-8")
+        _, grid, _ = cli.load_run_config(str(config_path), 5, "joint")
+        assert [c.seed for c in grid] == [5, 5]
+        out = tmp_path / "ckpts"
+        assert run(["train", "--data", str(pipeline / "insts/train"),
+                    "--out", str(out), "--config", str(config_path),
+                    "--seed", "5"]) == 0
+        for path in sorted(out.glob("*.ckpt")):
+            header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+            assert header["seed"] == header["config"]["seed"] == 5
+
+    def test_grid_entry_wins_over_file_wide_values(self, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(
+            {"seed": 3, "patience": 4, "dropout_rate": 0.2,
+             "grid": [TINY_GRID[0], {**TINY_GRID[1], "seed": 7, "patience": 1}]}),
+            encoding="utf-8")
+        _, grid, _ = cli.load_run_config(str(config_path), None, "joint")
+        assert [(c.seed, c.patience, c.dropout_rate) for c in grid] == \
+            [(3, 4, 0.2), (7, 1, 0.2)]
 
     @pytest.mark.parametrize("key,entry", [
         ("patiense", {"patiense": 3}),

@@ -103,6 +103,33 @@ ROWS = {
     "train data with one record": (
         ["train", "--data", "{root}/one-record", "--config", "{root}/one.json"],
         ["{root}/one-record", "fewer than two records"]),
+    "submit prediction ID not a string": (
+        ["submit", "--pred", "{root}/int-id-preds"],
+        [f"{{root}}/int-id-preds/{SYNTH_PAIRS[0]}.json", "record 1", "'ID'",
+         "not a string"]),
+    "evaluate gold Aspect a list": (
+        ["evaluate", "--pred", "{root}/preds/M1", "--gold", "{root}/list-aspect"],
+        [f"{{root}}/list-aspect/{SYNTH_PAIRS[0]}.json", "record 1", "'Aspect'",
+         "not a string"]),
+    "preprocess raw Aspect a list": (
+        ["preprocess", "--input", "{root}/list-raw"],
+        [f"{{root}}/list-raw/{SYNTH_PAIRS[0]}.json", "record 1", "'Aspect'",
+         "not a string"]),
+    "train 200-word aspect": (
+        ["train", "--data", "{root}/long-aspect", "--config", "{root}/one.json"],
+        ["{root}/long-aspect", "aspect spans 200 tokens"]),
+    "predict 200-word aspect in the second pair": (
+        ["predict", "--ckpts", "{root}/ckpts", "--data", "{root}/long-aspect-2"],
+        [f"{{root}}/long-aspect-2/{SYNTH_PAIRS[1]}.json", "aspect spans 200 tokens"]),
+    "train learning_rate 1e12": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/huge-rate.json"],
+        ["{root}/insts", "M1: non-finite"]),
+    "train repeated grid entry": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/repeat.json"],
+        ["{root}/repeat.json", "grid entry 1", "same as entry 0"]),
+    "train pretrained backend without model_name": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/no-model.json"],
+        ["{root}/no-model.json", "'encoder'", "model_name"]),
 }
 
 
@@ -116,11 +143,11 @@ def truncate(path: Path) -> None:
     path.write_text(text[:len(text) // 2], encoding="utf-8")
 
 
-def rewrite(src: Path, dest: Path, change) -> None:
-    """Copy the per-pair directory `src` to `dest`, passing the first pair
-    file's records through `change`."""
+def rewrite(src: Path, dest: Path, change, pair: str = SYNTH_PAIRS[0]) -> None:
+    """Copy the per-pair directory `src` to `dest`, passing the records of
+    `pair`'s file through `change`."""
     shutil.copytree(src, dest)
-    path = dest / f"{SYNTH_PAIRS[0]}.json"
+    path = dest / f"{pair}.json"
     rows = change(json.loads(path.read_text(encoding="utf-8")))
     path.write_text(json.dumps(rows), encoding="utf-8")
 
@@ -146,6 +173,10 @@ def inputs(tmp_path_factory):
     config(root / "batch-0.json", [{**ENTRY, "batch_size": 0}])
     config(root / "len-4.json", [ENTRY], max_len=4)
     config(root / "colour.json", [ENTRY], colour="red")
+    config(root / "huge-rate.json", [{**ENTRY, "learning_rate": 1e12,
+                                      "max_epochs": 3, "bounded": False}])
+    config(root / "no-model.json", [ENTRY], backend="pretrained-multilingual")
+    config(root / "repeat.json", [ENTRY, {**ENTRY, "seed": 42}])
     shutil.copy(root / "one.json", root / "cut.json")
     truncate(root / "cut.json")
     (root / "empty").mkdir()
@@ -166,6 +197,10 @@ def inputs(tmp_path_factory):
                          ("list-aspect", set_field("Aspect", ["battery"])),
                          ("blank-aspect", set_field("Aspect", " \t"))):
         rewrite(root / "insts", root / name, change)
+    long_aspect = set_field("Aspect", " ".join(["word"] * 200))
+    rewrite(root / "insts", root / "long-aspect", long_aspect)
+    rewrite(root / "insts", root / "long-aspect-2", long_aspect, SYNTH_PAIRS[1])
+    rewrite(root / "preds/M1", root / "int-id-preds", set_field("ID", 5))
     rewrite(root / "insts", root / "no-va",
             lambda rows: [{k: v for k, v in r.items() if k != "VA"} for r in rows])
     rewrite(root / "insts", root / "one-record",
@@ -173,10 +208,13 @@ def inputs(tmp_path_factory):
     for pair in SYNTH_PAIRS[1:]:
         (root / "one-record" / f"{pair}.json").unlink()
 
-    def blank_raw_aspect(rows):
-        rows[1]["Quadruplets"][0]["Aspect"] = "  "
-        return rows
-    rewrite(root / "raw", root / "blank-raw", blank_raw_aspect)
+    def raw_aspect(value):
+        def change(rows):
+            rows[1]["Quadruplets"][0]["Aspect"] = value
+            return rows
+        return change
+    rewrite(root / "raw", root / "blank-raw", raw_aspect("  "))
+    rewrite(root / "raw", root / "list-raw", raw_aspect(["battery"]))
     return root
 
 

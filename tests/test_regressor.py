@@ -232,12 +232,12 @@ class TestDropout:
 
 class TestInit:
     def test_seeded_and_in_range(self):
-        a = init_head(16, seed=1)
-        b = init_head(16, seed=1)
+        a = init_head(16, 1, 0.1, True)
+        b = init_head(16, 1, 0.1, True)
         np.testing.assert_array_equal(a.W, b.W)
         assert np.all(np.abs(a.W) <= 1 / 4)
         np.testing.assert_array_equal(a.b, np.zeros(2))
-        assert init_head(16, seed=2).W[0, 0] != a.W[0, 0]
+        assert init_head(16, 2, 0.1, True).W[0, 0] != a.W[0, 0]
 
 
 class TestPrediction:

@@ -22,11 +22,15 @@ from dimasr.trainer import (
     default_grid,
     train,
     train_grid,
-    train_separate,
 )
 from synth import make_instances
 
 SPEC = EncoderSpec(max_len=32, hidden_size=16)
+
+
+def predict(ckpt, instances):
+    """The checkpoint's (n, 2) predictions for `instances`."""
+    return ckpt.predict(encoding.instance_features(instances, ckpt.encoder_spec))
 
 
 def config(**overrides):
@@ -154,8 +158,7 @@ class TestTrainLoop:
     def test_best_val_rmse_matches_recomputation(self):
         train_set, val_set = self.data()
         ckpt = train(train_set, val_set, config(max_epochs=4), SPEC)
-        preds = ckpt.predict(val_set)
-        recomputed = metrics.rmse_va([p.va for p in preds],
+        recomputed = metrics.rmse_va(predict(ckpt, val_set),
                                      [i.gold for i in val_set])
         assert ckpt.best_val_rmse == pytest.approx(recomputed, abs=1e-12)
 
@@ -241,19 +244,20 @@ class TestGrid:
         train_set = make_instances("zho-res", 16, seed=0)
         val_set = make_instances("zho-res", 4, seed=1)
         configs = [config(max_epochs=1, seed=s) for s in (1, 2, 3)]
-        ckpts = train_grid(train_set, val_set, configs, SPEC)
-        assert [c.id for c in ckpts] == ["M1", "M2", "M3"]
+        ckpts = train_grid(train_set, val_set, configs, SPEC, ["a", "b", "c"])
+        assert [c.id for c in ckpts] == ["a", "b", "c"]
+        assert [c.config for c in ckpts] == configs
 
     def test_duplicate_configs_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            train_grid([], [], [config(), config()], SPEC)
+            train_grid([], [], [config(), config()], SPEC, ["M1", "M2"])
 
     def test_same_config_different_seed_distinct_payloads(self, tmp_path):
         train_set = make_instances("zho-res", 16, seed=0)
         val_set = make_instances("zho-res", 4, seed=1)
         ckpts = train_grid(train_set, val_set,
                            [config(max_epochs=2, seed=1),
-                            config(max_epochs=2, seed=2)], SPEC)
+                            config(max_epochs=2, seed=2)], SPEC, ["M1", "M2"])
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         ckpts[0].save(a)
         ckpts[1].save(b)
@@ -271,7 +275,8 @@ class TestGrid:
         train_set = make_instances("zho-res", 16, seed=0)
         val_set = make_instances("zho-res", 4, seed=1)
         train_grid(train_set, val_set,
-                   [config(max_epochs=2, seed=s) for s in (1, 2, 3)], SPEC)
+                   [config(max_epochs=2, seed=s) for s in (1, 2, 3)], SPEC,
+                   ["M1", "M2", "M3"])
         assert calls == [16, 4]
 
     def test_grid_checkpoints_match_standalone_runs(self, tmp_path):
@@ -280,7 +285,7 @@ class TestGrid:
         configs = [config(max_epochs=3, seed=1),
                    config(max_epochs=2, bounded=False, seed=2),
                    config(batch_size=4, learning_rate=0.01, seed=3)]
-        grid = train_grid(train_set, val_set, configs, SPEC)
+        grid = train_grid(train_set, val_set, configs, SPEC, ["M1", "M2", "M3"])
         for ckpt, cfg in zip(grid, configs):
             alone = train(train_set, val_set, cfg, SPEC, ckpt_id=ckpt.id)
             ckpt.save(tmp_path / "grid.ckpt")
@@ -296,32 +301,33 @@ class TestGrid:
             gold=VAScore(float("inf"), 5.0), pair=train_set[0].pair)]
         val = make_instances("zho-res", 4, seed=1)
         with pytest.raises(TrainingError, match=r"^M1: non-finite loss at epoch 1"):
-            train_grid(poisoned, val, [config(batch_size=32)], SPEC)
+            train_grid(poisoned, val, [config(batch_size=32)], SPEC, ["M1"])
 
 
 class TestSeparate:
+    """Per-pair runs, as `dimasr train --regime separate` makes them: one
+    one-config grid per pair, named after the pair."""
+
     def per_pair(self, n_pairs=3):
         return {PairID.parse(f"p{i:02d}-dom"):
                 make_instances(f"p{i:02d}-dom", 20, seed=i)
                 for i in range(n_pairs)}
 
-    def test_one_checkpoint_per_pair(self):
-        result = train_separate(self.per_pair(), config(max_epochs=2), SPEC)
-        assert len(result) == 3
-        for pair, ckpt in result.items():
-            assert ckpt.id == str(pair)
-            assert ckpt.config.regime == "separate"
+    def train_separate(self, per_pair):
+        return {pair: train_grid(insts[:16], insts[16:],
+                                 [config(max_epochs=2, regime="separate")],
+                                 SPEC, [str(pair)])[0]
+                for pair, insts in per_pair.items()}
 
     def test_cross_pair_prediction_permitted(self):
-        result = train_separate(self.per_pair(2), config(max_epochs=2), SPEC)
+        result = self.train_separate(self.per_pair(2))
         pairs = list(result)
         other = make_instances(str(pairs[1]), 5, seed=77)
-        preds = result[pairs[0]].predict(other)
-        assert len(preds) == 5
+        assert predict(result[pairs[0]], other).shape == (5, 2)
 
     def test_joint_and_separate_both_yield_reports(self):
         per_pair = self.per_pair()
-        sep = train_separate(per_pair, config(max_epochs=2), SPEC)
+        sep = self.train_separate(per_pair)
         pooled = [i for insts in per_pair.values() for i in insts]
         joint = train(pooled[:50], pooled[50:], config(max_epochs=2), SPEC)
         dev = {p: make_instances(str(p), 6, seed=500 + k)
@@ -329,24 +335,14 @@ class TestSeparate:
         gold = {p: metrics.va_array([i.gold for i in insts])
                 for p, insts in dev.items()}
 
-        def values(ckpt, insts):
-            return metrics.va_array([p.va for p in ckpt.predict(insts)])
-
         joint_report = metrics.evaluate(
-            {p: values(joint, insts) for p, insts in dev.items()}, gold)
+            {p: predict(joint, insts) for p, insts in dev.items()}, gold)
         sep_report = metrics.evaluate(
-            {p: values(sep[p], insts) for p, insts in dev.items()}, gold)
+            {p: predict(sep[p], insts) for p, insts in dev.items()}, gold)
         assert set(joint_report.per_pair) == set(sep_report.per_pair)
 
 
 class TestCheckpointObject:
-    def test_precomputed_features_give_same_predictions(self):
-        train_set = make_instances("zho-res", 16, seed=0)
-        val_set = make_instances("zho-res", 4, seed=1)
-        ckpt = train(train_set, val_set, config(max_epochs=2), SPEC)
-        feats = encoding.instance_features(val_set, SPEC)
-        assert ckpt.predict(val_set, features=feats) == ckpt.predict(val_set)
-
     def test_save_load_predict_identical(self, tmp_path):
         train_set = make_instances("zho-res", 16, seed=0)
         val_set = make_instances("zho-res", 4, seed=1)
@@ -358,9 +354,7 @@ class TestCheckpointObject:
         assert loaded.config == ckpt.config
         assert loaded.encoder_spec == ckpt.encoder_spec
         assert loaded.best_val_rmse == ckpt.best_val_rmse
-        a = [p.va.as_tuple() for p in ckpt.predict(val_set)]
-        b = [p.va.as_tuple() for p in loaded.predict(val_set)]
-        assert a == b
+        assert predict(ckpt, val_set).tobytes() == predict(loaded, val_set).tobytes()
 
     def test_resave_byte_identical(self, tmp_path):
         train_set = make_instances("zho-res", 16, seed=0)
@@ -410,5 +404,5 @@ class TestCheckpointObject:
         val_set = make_instances("zho-res", 4, seed=1)
         ckpt = train(train_set, val_set, config(max_epochs=2, bounded=True),
                      SPEC)
-        for p in ckpt.predict(val_set):
-            assert 1.0 < p.va.valence < 9.0 and 1.0 < p.va.arousal < 9.0
+        values = predict(ckpt, val_set)
+        assert np.all((1.0 < values) & (values < 9.0))
