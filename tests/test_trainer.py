@@ -319,6 +319,13 @@ class TestSeparate:
                                  SPEC, [str(pair)])[0]
                 for pair, insts in per_pair.items()}
 
+    def test_one_checkpoint_per_pair(self):
+        result = self.train_separate(self.per_pair())
+        assert len(result) == 3
+        for pair, ckpt in result.items():
+            assert ckpt.id == str(pair)
+            assert ckpt.config.regime == "separate"
+
     def test_cross_pair_prediction_permitted(self):
         result = self.train_separate(self.per_pair(2))
         pairs = list(result)
