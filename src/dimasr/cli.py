@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, corpus
-from .corpus import (REGIMES, Instance, PairID, ParseError, VAScore, format_va,
-                     pair_sort_key, parse_va, read_json, record_error)
+from .corpus import (REGIMES, Instance, PairID, ParseError, VAScore, build,
+                     format_va, pair_sort_key, parse_va, read_json, record_error)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -250,6 +250,24 @@ def _match_gold(gold_dir: str, gold: dict[PairID, Path],
                          f"{'; '.join(gaps)}")
 
 
+def _encoding_error(exc: encoding.EncodingError, where, files: dict[PairID, Path],
+                    per_pair: dict[PairID, list[Instance]],
+                    spec: encoding.EncoderSpec) -> ParseError:
+    """`exc`, raised encoding `per_pair` under `spec`, as a ParseError naming
+    the file, record and field 'Aspect' of the first aspect the toy template
+    rejects on its own, or else naming `where`.  Searched only after a
+    failure, so a good run encodes each set once."""
+    from . import encoding
+    if spec.backend == encoding.BACKEND_TOY:
+        for pair, instances in per_pair.items():
+            for i, inst in enumerate(instances):
+                try:
+                    encoding.format_pair(inst.aspect, "", spec)
+                except encoding.EncodingError as own:
+                    return record_error(files[pair], i, "Aspect", str(own))
+    return ParseError(f"{where}: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 
@@ -282,14 +300,6 @@ def _check_grid(grid: list, path: str, regime: str, known: frozenset,
                 raise ParseError(f"{path}: grid entry {i}: missing key {key!r}")
 
 
-def _build(cls, kwargs, where: str):
-    """cls(**kwargs); arguments it rejects are a ParseError naming `where`."""
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from None
-
-
 def load_run_config(path: str | None, seed: int | None, regime: str
                     ) -> tuple[encoding.EncoderSpec, list[trainer.TrainConfig], float]:
     """Resolve encoder spec, training grid and validation fraction.
@@ -314,7 +324,7 @@ def load_run_config(path: str | None, seed: int | None, regime: str
     if not isinstance(fraction, (int, float)) or not 0.0 < fraction < 1.0:
         raise ParseError(f"{path}: key 'validation_fraction': must be in (0, 1), "
                          f"got {fraction!r}")
-    spec = _build(encoding.EncoderSpec, raw.get("encoder", {}), f"{path}: key 'encoder'")
+    spec = build(encoding.EncoderSpec, raw.get("encoder", {}), f"{path}: key 'encoder'")
     if "grid" in raw:
         _check_grid(raw["grid"], path, regime, known, required)
         entries = raw["grid"]
@@ -323,8 +333,8 @@ def load_run_config(path: str | None, seed: int | None, regime: str
                    for c in trainer.default_grid()[:1 if regime == "separate" else None]]
     file_wide = {key: value for key, value in raw.items() if key in known}
     flags = {"regime": regime} if seed is None else {"regime": regime, "seed": seed}
-    grid = [_build(trainer.TrainConfig, {**file_wide, **entry, **flags},
-                   f"{path}: grid entry {i}" if "grid" in raw else str(path))
+    grid = [build(trainer.TrainConfig, {**file_wide, **entry, **flags},
+                  f"{path}: grid entry {i}" if "grid" in raw else str(path))
             for i, entry in enumerate(entries)]
     for i, config in enumerate(grid):
         if config in grid[:i]:
@@ -383,7 +393,9 @@ def cmd_train(args) -> int:
             instances, fraction, grid[0].seed)
         try:
             checkpoints += trainer.train_grid(train_set, val_set, grid, spec, ids)
-        except (encoding.EncodingError, trainer.TrainingError) as exc:
+        except encoding.EncodingError as exc:
+            raise _encoding_error(exc, where, files, per_pair, spec) from None
+        except trainer.TrainingError as exc:
             raise ParseError(f"{where}: {exc}") from None
 
     for ckpt in checkpoints:
@@ -409,15 +421,20 @@ def cmd_predict(args) -> int:
     files = stage.pair_files("data", args.data, pairs=args.pairs)
     per_pair = {pair: load_instances(f) for pair, f in files.items()}
     checkpoints = [trainer.Checkpoint.load(f) for f in ckpt_files]
+    for f, ckpt in zip(ckpt_files, checkpoints):   # the id names a member directory
+        if ckpt.id != f.stem or ckpt.id in (".", ".."):
+            raise ParseError(f"{f}: checkpoint id {ckpt.id!r} cannot name a member "
+                             f"directory: it must be the file name {f.stem!r}, "
+                             f"and neither '.' nor '..'")
     # Features depend on the encoder spec only: encode each pair once per
     # distinct spec, every pair before any file is written.
     features = {}
     for pair, instances in per_pair.items():
-        try:
-            for spec in dict.fromkeys(ckpt.encoder_spec for ckpt in checkpoints):
+        for spec in dict.fromkeys(ckpt.encoder_spec for ckpt in checkpoints):
+            try:
                 features[pair, spec] = encoding.instance_features(instances, spec)
-        except encoding.EncodingError as exc:
-            raise ParseError(f"{files[pair]}: {exc}") from None
+            except encoding.EncodingError as exc:
+                raise _encoding_error(exc, files[pair], files, per_pair, spec) from None
     for pair, instances in per_pair.items():
         keys = [inst.key for inst in instances]
         for ckpt in checkpoints:
@@ -611,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pairs")
-    p.add_argument("--clamp", dest="clamp", action="store_true", default=True)
     p.add_argument("--no-clamp", dest="clamp", action="store_false")
     p.add_argument("--precision", type=_at_least(0), default=2)
     p.set_defaults(func=cmd_submit)

@@ -13,7 +13,8 @@ Input file format (JSON array or JSONL, one object per record):
 
 VA is the string "<valence>#<arousal>"; an object form
 {"Valence": 7.5, "Arousal": 6.0} is also accepted.  Test-set files use the
-same format with the VA field absent.
+same format with the VA field absent.  Category, Opinion and other keys are
+not read.
 
 Preprocessing applies four rules, in order, per record:
   a. drop quadruplets whose aspect is the implicit NULL marker;
@@ -126,8 +127,6 @@ def format_va(score: VAScore, precision: int | None = None) -> str:
 @dataclass(frozen=True)
 class Quadruplet:
     aspect: str | None
-    category: str
-    opinion: str
     va: VAScore | None
 
 
@@ -217,12 +216,21 @@ def record_error(path, index: int, field_name: str, detail: str) -> ParseError:
     return ParseError(f"{path}: record {index}: field {field_name!r}: {detail}")
 
 
+def build(cls, kwargs, where: str):
+    """cls(**kwargs); arguments it rejects are a ParseError naming `where`."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
 def _parse_record(obj, index: int, pair: PairID, path) -> RawRecord:
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: record {index}: not an object")
-    if "ID" not in obj:
-        raise record_error(path, index, "ID", "missing")
-    rec_id = str(obj["ID"])
+    rec_id = obj.get("ID")
+    if not isinstance(rec_id, str):
+        raise record_error(path, index, "ID",
+                           "not a string" if "ID" in obj else "missing")
     text = obj.get("Text")
     if not isinstance(text, str):
         raise record_error(path, index, "Text", "missing or not a string")
@@ -247,12 +255,7 @@ def _parse_record(obj, index: int, pair: PairID, path) -> RawRecord:
             va = parse_va(va_raw) if va_raw is not None else None
         except ParseError as exc:
             raise record_error(path, index, "VA", str(exc)) from None
-        quads.append(Quadruplet(
-            aspect=aspect,
-            category=str(q.get("Category", "")),
-            opinion=str(q.get("Opinion", "")),
-            va=va,
-        ))
+        quads.append(Quadruplet(aspect=aspect, va=va))
     return RawRecord(id=rec_id, text=text, quadruplets=quads, pair=pair)
 
 

@@ -16,9 +16,12 @@ import numpy as np
 
 from .encoding import BACKEND_PRETRAINED, EncoderSpec, EncodingError
 
+DEVICE = "cpu"
+BATCH_SIZE = 32   # sentence pairs per forward pass
+
 
 class PretrainedEncoder:
-    def __init__(self, spec: EncoderSpec, device: str = "cpu"):
+    def __init__(self, spec: EncoderSpec):
         if spec.backend != BACKEND_PRETRAINED:
             raise EncodingError(f"spec backend is {spec.backend!r}, "
                                 f"expected {BACKEND_PRETRAINED!r}")
@@ -31,10 +34,9 @@ class PretrainedEncoder:
             ) from exc
         self._torch = torch
         self.spec = spec
-        self.device = device
         self.tokenizer = AutoTokenizer.from_pretrained(spec.model_name)
         self.model = AutoModel.from_pretrained(spec.model_name)
-        self.model.to(device)
+        self.model.to(DEVICE)
         self.model.eval()
         hidden = self.model.config.hidden_size
         if hidden != spec.hidden_size:
@@ -42,19 +44,18 @@ class PretrainedEncoder:
                 f"model hidden size {hidden} does not match spec.hidden_size "
                 f"{spec.hidden_size}")
 
-    def encode_pairs(self, pairs: list[tuple[str, str]],
-                     batch_size: int = 32) -> np.ndarray:
+    def encode_pairs(self, pairs: list[tuple[str, str]]) -> np.ndarray:
         """First-special-token hidden states, (n, hidden_size), float64."""
         torch = self._torch
         chunks = []
         with torch.no_grad():
-            for start in range(0, len(pairs), batch_size):
-                chunk = pairs[start:start + batch_size]
+            for start in range(0, len(pairs), BATCH_SIZE):
+                chunk = pairs[start:start + BATCH_SIZE]
                 enc = self.tokenizer(
                     [a for a, _ in chunk], [t for _, t in chunk],
                     truncation="only_second", max_length=self.spec.max_len,
                     padding="max_length", return_tensors="pt",
-                ).to(self.device)
+                ).to(DEVICE)
                 hidden = self.model(**enc).last_hidden_state[:, 0, :]
                 chunks.append(hidden.cpu().numpy().astype(np.float64))
         if not chunks:

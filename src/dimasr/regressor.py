@@ -8,27 +8,17 @@ forward_cached() is the one forward path: training runs it with dropout and
 keeps its cache for backward(), and predict() runs it with train=False.
 backward() returns exact analytic gradients, including the per-output chain
 factor 8 * s * (1 - s) for bounded heads and the gradient of the projection.
-
-Checkpoint files are a single canonical-JSON header line followed by the
-flat little-endian float64 parameter payload; a load/save round trip is
-byte-identical.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .corpus import ParseError
 
 BOUND_LO = 1.0
 BOUND_HI = 9.0
 BOUND_SPAN = 8.0
-
-CHECKPOINT_MAGIC = "dimasr-checkpoint-v1"
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -176,40 +166,3 @@ def backward(cache: dict, gold: np.ndarray) -> dict[str, np.ndarray]:
         grads["A"] = g_e.T @ cache["feats"]
     return grads
 
-
-def save_checkpoint(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write header + parameters; the header gains the array layout table."""
-    layout = [[name, list(arr.shape)] for name, arr in arrays.items()]
-    full = {**header, "format": CHECKPOINT_MAGIC, "arrays": layout}
-    payload = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
-                       for arr in arrays.values())
-    text = json.dumps(full, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    Path(path).write_bytes(text.encode("utf-8") + b"\n" + payload)
-
-
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint file; a cut, foreign or malformed file raises
-    ParseError naming the path."""
-    blob = Path(path).read_bytes()
-    nl = blob.find(b"\n")
-    if nl < 0:
-        raise ParseError(f"{path}: truncated checkpoint: no header line")
-    try:
-        header = json.loads(blob[:nl].decode("utf-8"))
-    except ValueError as exc:
-        raise ParseError(f"{path}: unreadable checkpoint header: {exc}") from None
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
-        raise ParseError(f"{path}: not a {CHECKPOINT_MAGIC} file")
-    arrays: dict[str, np.ndarray] = {}
-    offset = nl + 1
-    for name, shape in header["arrays"]:
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
-        if end > len(blob):
-            raise ParseError(f"{path}: truncated payload for array {name!r}")
-        flat = np.frombuffer(blob[offset:end], dtype="<f8")
-        arrays[name] = flat.reshape(shape).astype(np.float64)
-        offset = end
-    if offset != len(blob):
-        raise ParseError(f"{path}: trailing bytes after parameter payload")
-    return header, arrays

@@ -9,13 +9,15 @@ produce byte-identical checkpoints.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, asdict, field
+from pathlib import Path
 
 import numpy as np
 
 from . import encoding, metrics, regressor
-from .corpus import REGIMES, Instance
+from .corpus import REGIMES, Instance, ParseError, build
 from .encoding import EncoderSpec
 
 logger = logging.getLogger(__name__)
@@ -26,6 +28,7 @@ ADAMW_BETAS = (0.9, 0.999)
 ADAMW_EPS = 1e-8
 ADAMW_WEIGHT_DECAY = 0.01
 IMPROVEMENT_DELTA = 1e-6
+CHECKPOINT_MAGIC = "dimasr-checkpoint-v1"
 
 
 class TrainingError(RuntimeError):
@@ -141,7 +144,11 @@ class EarlyStopping:
 
 @dataclass
 class Checkpoint:
-    """Frozen parameters of one run plus the metadata to reproduce it."""
+    """Frozen parameters of one run plus the metadata to reproduce it.
+
+    Its file is a canonical-JSON header line, then W, b and any projection A
+    as flat little-endian float64; a load/save round trip is byte-identical.
+    """
 
     id: str
     config: TrainConfig
@@ -159,32 +166,66 @@ class Checkpoint:
         return regressor.predict(e, self.head)
 
     def save(self, path) -> None:
+        arrays = [a for a in (self.head.W, self.head.b, self.projection) if a is not None]
         header = {
             "id": self.id,
             "encoder": self.encoder_spec.to_dict(),
             "config": self.config.to_dict(),
             "bounded": self.config.bounded,
             "seed": self.config.seed,
-            "dropout_rate": self.head.dropout_rate,
+            "dropout_rate": self.config.dropout_rate,
             "optimizer": {"betas": list(ADAMW_BETAS), "eps": ADAMW_EPS,
                           "weight_decay": ADAMW_WEIGHT_DECAY},
             "best_val_rmse": self.best_val_rmse,
             "epoch_of_best": self.epoch_of_best,
+            "format": CHECKPOINT_MAGIC,
+            "arrays": [[name, list(arr.shape)] for name, arr in zip("WbA", arrays)],
         }
-        arrays = {"W": self.head.W, "b": self.head.b}
-        if self.projection is not None:
-            arrays["A"] = self.projection
-        regressor.save_checkpoint(path, header, arrays)
+        text = json.dumps(header, sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False)
+        Path(path).write_bytes(text.encode("utf-8") + b"\n" + b"".join(
+            np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in arrays))
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        header, arrays = regressor.load_checkpoint(path)
-        head = regressor.HeadParams(W=arrays["W"], b=arrays["b"],
-                                    dropout_rate=header["dropout_rate"],
-                                    bounded=header["bounded"])
-        return cls(id=header["id"], config=TrainConfig(**header["config"]),
-                   encoder_spec=EncoderSpec(**header["encoder"]),
-                   head=head, projection=arrays.get("A"),
+        """Read a checkpoint file.  A cut, foreign or malformed file, a missing
+        header key, an encoder or config its class rejects, an array table
+        other than the one `save` writes for the encoder, or a top-level
+        copy that differs from `config` is one ParseError naming the path."""
+        line, newline, payload = Path(path).read_bytes().partition(b"\n")
+        if not newline:
+            raise ParseError(f"{path}: truncated checkpoint: no header line")
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except ValueError as exc:
+            raise ParseError(f"{path}: unreadable checkpoint header: {exc}") from None
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
+            raise ParseError(f"{path}: not a {CHECKPOINT_MAGIC} file")
+        for key in ("id", "encoder", "config", "bounded", "seed", "dropout_rate",
+                    "optimizer", "best_val_rmse", "epoch_of_best", "arrays"):
+            if key not in header:
+                raise ParseError(f"{path}: checkpoint header lacks key {key!r}")
+        spec = build(EncoderSpec, header["encoder"], f"{path}: key 'encoder'")
+        config = build(TrainConfig, header["config"], f"{path}: key 'config'")
+        for key in ("bounded", "seed", "dropout_rate"):   # kept so files keep their bytes
+            if header[key] != getattr(config, key):
+                raise ParseError(f"{path}: key {key!r}: {header[key]!r} differs "
+                                 f"from 'config' {getattr(config, key)!r}")
+        d, trainable = spec.hidden_size, spec.trainable_layer
+        layout = [["W", [2, d]], ["b", [2]]] + ([["A", [d, d]]] if trainable else [])
+        if header["arrays"] != layout:
+            raise ParseError(f"{path}: key 'arrays': {header['arrays']}, but the "
+                             f"encoder needs {layout}")
+        if len(payload) != 8 * (2 * d + 2 + (d * d if trainable else 0)):
+            raise ParseError(f"{path}: truncated or padded payload: "
+                             f"{len(payload)} bytes for {layout}")
+        W, b, A = np.split(np.frombuffer(payload, dtype="<f8").astype(np.float64),
+                           [2 * d, 2 * d + 2])
+        head = regressor.HeadParams(W=W.reshape(2, d), b=b,
+                                    dropout_rate=config.dropout_rate,
+                                    bounded=config.bounded)
+        return cls(id=header["id"], config=config, encoder_spec=spec, head=head,
+                   projection=A.reshape(d, d) if trainable else None,
                    best_val_rmse=header["best_val_rmse"],
                    epoch_of_best=header["epoch_of_best"])
 

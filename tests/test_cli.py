@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from dimasr import cli, encoding, ensemble, trainer
 from dimasr.corpus import VA_MAX, VA_MIN, ParseError, parse_va
-from dimasr.regressor import CHECKPOINT_MAGIC
 from dimasr.encoding import EncoderSpec
+from dimasr.trainer import CHECKPOINT_MAGIC
 from synth import SYNTH_PAIRS, make_instances, write_raw_dir
 
 VA_2DP = re.compile(r"^-?\d+\.\d{2}#-?\d+\.\d{2}$")

@@ -28,9 +28,8 @@ from synth import SYNTH_PAIRS, make_instances, make_raw_rows
 PAIR = PairID.parse("zho-res")
 
 
-def quad(aspect, va=None, opinion="good"):
-    return Quadruplet(aspect=aspect, category="CAT#X", opinion=opinion,
-                      va=VAScore(*va) if va else None)
+def quad(aspect, va=None):
+    return Quadruplet(aspect=aspect, va=VAScore(*va) if va else None)
 
 
 def record(rid, quads, text="the crispy duck was superb"):
@@ -129,6 +128,18 @@ class TestParseFile:
         with pytest.raises(ParseError, match=r"record 0.*'Text'"):
             parse_quadruplet_file(self.write(tmp_path, rows), PAIR)
 
+    @pytest.mark.parametrize("rid", [7, ["r1"], None])
+    def test_non_string_id_names_record_and_field(self, tmp_path, rid):
+        rows = [{"ID": "a", "Text": "t"}, {"ID": rid, "Text": "t"}]
+        with pytest.raises(ParseError, match=r"record 1: field 'ID': not a string"):
+            parse_quadruplet_file(self.write(tmp_path, rows), PAIR)
+
+    def test_category_and_opinion_ignored(self, tmp_path):
+        rows = [{"ID": "a", "Text": "t", "Quadruplets": [
+            {"Aspect": "x", "Category": 5, "Opinion": ["y"], "VA": "5#5"}]}]
+        records = parse_quadruplet_file(self.write(tmp_path, rows), PAIR)
+        assert records[0].quadruplets == [Quadruplet("x", VAScore(5.0, 5.0))]
+
     def test_bad_va_reports_raw_string(self, tmp_path):
         rows = [{"ID": "a", "Text": "t",
                  "Quadruplets": [{"Aspect": "x", "VA": "oops"}]}]
@@ -196,8 +207,7 @@ class TestPreprocess:
 
     def test_first_opinion_wins(self):
         instances, report = preprocess([record("r", [
-            quad("screen", (7.0, 6.0), opinion="bright"),
-            quad("screen", (3.0, 4.0), opinion="dim")])])
+            quad("screen", (7.0, 6.0)), quad("screen", (3.0, 4.0))])])
         assert len(instances) == 1
         assert instances[0].gold == VAScore(7.0, 6.0)
         assert report.duplicate_aspect_drops == 1
@@ -233,7 +243,7 @@ class TestPreprocess:
         instances, _ = preprocess([record("r", [
             quad("duck", (7.0, 6.0)), quad("service", (3.0, 4.0))])])
         rewrapped = [RawRecord(id=i.id, text=i.text, pair=i.pair,
-                               quadruplets=[Quadruplet(i.aspect, "", "", i.gold)])
+                               quadruplets=[Quadruplet(i.aspect, i.gold)])
                      for i in instances]
         again, report = preprocess(rewrapped)
         assert again == instances

@@ -111,16 +111,27 @@ ROWS = {
         ["evaluate", "--pred", "{root}/preds/M1", "--gold", "{root}/list-aspect"],
         [f"{{root}}/list-aspect/{SYNTH_PAIRS[0]}.json", "record 1", "'Aspect'",
          "not a string"]),
+    "preprocess raw ID not a string": (
+        ["preprocess", "--input", "{root}/int-id-raw"],
+        [f"{{root}}/int-id-raw/{SYNTH_PAIRS[0]}.json", "record 1", "'ID'",
+         "not a string"]),
     "preprocess raw Aspect a list": (
         ["preprocess", "--input", "{root}/list-raw"],
         [f"{{root}}/list-raw/{SYNTH_PAIRS[0]}.json", "record 1", "'Aspect'",
          "not a string"]),
     "train 200-word aspect": (
         ["train", "--data", "{root}/long-aspect", "--config", "{root}/one.json"],
-        ["{root}/long-aspect", "aspect spans 200 tokens"]),
+        [f"{{root}}/long-aspect/{SYNTH_PAIRS[0]}.json", "record 1", "'Aspect'",
+         "aspect spans 200 tokens"]),
+    "train separate 200-word aspect": (
+        ["train", "--data", "{root}/long-aspect", "--config", "{root}/one.json",
+         "--regime", "separate"],
+        [f"{{root}}/long-aspect/{SYNTH_PAIRS[0]}.json", "record 1", "'Aspect'",
+         "aspect spans 200 tokens"]),
     "predict 200-word aspect in the second pair": (
         ["predict", "--ckpts", "{root}/ckpts", "--data", "{root}/long-aspect-2"],
-        [f"{{root}}/long-aspect-2/{SYNTH_PAIRS[1]}.json", "aspect spans 200 tokens"]),
+        [f"{{root}}/long-aspect-2/{SYNTH_PAIRS[1]}.json", "record 1", "'Aspect'",
+         "aspect spans 200 tokens"]),
     "train learning_rate 1e12": (
         ["train", "--data", "{root}/insts", "--config", "{root}/huge-rate.json"],
         ["{root}/insts", "M1: non-finite"]),
@@ -130,6 +141,30 @@ ROWS = {
     "train pretrained backend without model_name": (
         ["train", "--data", "{root}/insts", "--config", "{root}/no-model.json"],
         ["{root}/no-model.json", "'encoder'", "model_name"]),
+    "predict checkpoint encoder with max_len 4": (
+        ["predict", "--ckpts", "{root}/ckpt-len-4", "--data", "{root}/insts"],
+        ["{root}/ckpt-len-4/M1.ckpt", "'encoder'", "max_len"]),
+    "predict checkpoint without key": (
+        ["predict", "--ckpts", "{root}/ckpt-no-epoch", "--data", "{root}/insts"],
+        ["{root}/ckpt-no-epoch/M1.ckpt", "'epoch_of_best'"]),
+    "predict checkpoint config with batch_size 0": (
+        ["predict", "--ckpts", "{root}/ckpt-batch-0", "--data", "{root}/insts"],
+        ["{root}/ckpt-batch-0/M1.ckpt", "'config'", "batch_size"]),
+    "predict checkpoint hidden_size not W's width": (
+        ["predict", "--ckpts", "{root}/ckpt-wide", "--data", "{root}/insts"],
+        ["{root}/ckpt-wide/M1.ckpt", "'arrays'"]),
+    "predict trainable checkpoint without A": (
+        ["predict", "--ckpts", "{root}/ckpt-no-a", "--data", "{root}/insts"],
+        ["{root}/ckpt-no-a/M1.ckpt", "'arrays'"]),
+    "predict checkpoint bounded differs from config": (
+        ["predict", "--ckpts", "{root}/ckpt-raw", "--data", "{root}/insts"],
+        ["{root}/ckpt-raw/M1.ckpt", "'bounded'"]),
+    "predict checkpoint id ../escaped": (
+        ["predict", "--ckpts", "{root}/ckpt-escaped", "--data", "{root}/insts"],
+        ["{root}/ckpt-escaped/M1.ckpt", "'../escaped'"]),
+    "predict checkpoint id not its file name": (
+        ["predict", "--ckpts", "{root}/ckpt-copied", "--data", "{root}/insts"],
+        ["{root}/ckpt-copied/M2.ckpt", "'M1'"]),
 }
 
 
@@ -150,6 +185,28 @@ def rewrite(src: Path, dest: Path, change, pair: str = SYNTH_PAIRS[0]) -> None:
     path = dest / f"{pair}.json"
     rows = change(json.loads(path.read_text(encoding="utf-8")))
     path.write_text(json.dumps(rows), encoding="utf-8")
+
+
+def edit_checkpoint(src: Path, dest: Path, change) -> None:
+    """Copy the checkpoint directory `src` to `dest`, passing M1.ckpt's header
+    through `change`, which returns how many payload bytes to cut."""
+    shutil.copytree(src, dest)
+    path = dest / "M1.ckpt"
+    line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    cut = change(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n"
+                     + payload[:len(payload) - cut])
+
+
+def set_key(*keys, value):
+    """An `edit_checkpoint` change setting header[keys[0]]...[keys[-1]]."""
+    def change(header):
+        for key in keys[:-1]:
+            header = header[key]
+        header[keys[-1]] = value
+        return 0
+    return change
 
 
 def set_field(field, value, index=1):
@@ -208,6 +265,26 @@ def inputs(tmp_path_factory):
     for pair in SYNTH_PAIRS[1:]:
         (root / "one-record" / f"{pair}.json").unlink()
 
+    d = ENCODER["hidden_size"]
+
+    def no_epoch(header):
+        del header["epoch_of_best"]
+        return 0
+
+    def no_projection(header):   # A's table entry and its d * d float64s
+        header["arrays"].pop()
+        return 8 * d * d
+    for name, change in (("ckpt-len-4", set_key("encoder", "max_len", value=4)),
+                         ("ckpt-no-epoch", no_epoch),
+                         ("ckpt-batch-0", set_key("config", "batch_size", value=0)),
+                         ("ckpt-wide", set_key("encoder", "hidden_size", value=2 * d)),
+                         ("ckpt-no-a", no_projection),
+                         ("ckpt-raw", set_key("bounded", value=False)),
+                         ("ckpt-escaped", set_key("id", value="../escaped"))):
+        edit_checkpoint(root / "ckpts", root / name, change)
+    shutil.copytree(root / "ckpts", root / "ckpt-copied")
+    shutil.copy(root / "ckpt-copied/M1.ckpt", root / "ckpt-copied/M2.ckpt")
+
     def raw_aspect(value):
         def change(rows):
             rows[1]["Quadruplets"][0]["Aspect"] = value
@@ -215,6 +292,7 @@ def inputs(tmp_path_factory):
         return change
     rewrite(root / "raw", root / "blank-raw", raw_aspect("  "))
     rewrite(root / "raw", root / "list-raw", raw_aspect(["battery"]))
+    rewrite(root / "raw", root / "int-id-raw", set_field("ID", 7))
     return root
 
 

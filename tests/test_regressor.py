@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import re
 
@@ -7,19 +9,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dimasr.corpus import ParseError
+from dimasr.encoding import EncoderSpec
 from dimasr.regressor import (
-    CHECKPOINT_MAGIC,
     HeadParams,
     backward,
     bound,
     forward_cached,
     init_head,
-    load_checkpoint,
     mse_loss,
     predict,
-    save_checkpoint,
     sigmoid,
 )
+from dimasr.trainer import CHECKPOINT_MAGIC, Checkpoint, TrainConfig
 
 
 def head(W, b, dropout=0.0, bounded=False):
@@ -253,42 +254,109 @@ class TestPrediction:
                                       [[12.0, -4.0]])
 
 
+def edit_header(path, change):
+    """Rewrite the header of the checkpoint file `path` through `change`."""
+    line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    change(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+def setter(*keys, value):
+    """A header change that sets header[keys[0]]...[keys[-1]] to `value`."""
+    def change(header):
+        for key in keys[:-1]:
+            header = header[key]
+        header[keys[-1]] = value
+    return change
+
+
+# name: (header change, the text after "<path>: " in the error, as a regex)
+BAD_HEADERS = {
+    "missing key": (lambda h: h.pop("epoch_of_best"),
+                    "checkpoint header lacks key 'epoch_of_best'"),
+    "max_len 4": (setter("encoder", "max_len", value=4), "key 'encoder': max_len"),
+    "unknown encoder key": (setter("encoder", "colour", value="red"),
+                            "key 'encoder':.*'colour'"),
+    "batch_size 0": (setter("config", "batch_size", value=0),
+                     "key 'config': batch_size"),
+    "config a list": (setter("config", value=[1]), "key 'config'"),
+    "hidden_size not W's width": (setter("encoder", "hidden_size", value=16),
+                                  "key 'arrays'"),
+    "A without trainable layer": (setter("encoder", "trainable_layer", value=False),
+                                  "key 'arrays'"),
+    "bounded differs": (setter("bounded", value=False), "key 'bounded'"),
+    "seed differs": (setter("seed", value=7), "key 'seed'"),
+    "dropout_rate differs": (setter("dropout_rate", value=0.1), "key 'dropout_rate'"),
+}
+
+
 class TestCheckpointFile:
     def make(self, tmp_path, rng):
-        header = {"id": "M1", "seed": 42, "note": {"nested": [1, 2.5, "x"]}}
-        arrays = {"W": rng.normal(size=(2, 8)), "b": rng.normal(size=2),
-                  "A": rng.normal(size=(8, 8))}
+        ckpt = Checkpoint(
+            id="M1",
+            config=TrainConfig(batch_size=16, learning_rate=1e-5, max_epochs=7,
+                               bounded=True, dropout_rate=0.25),
+            encoder_spec=EncoderSpec(hidden_size=8),
+            head=head(rng.normal(size=(2, 8)), rng.normal(size=2), dropout=0.25,
+                      bounded=True),
+            projection=rng.normal(size=(8, 8)), best_val_rmse=0.75, epoch_of_best=3)
         path = tmp_path / "m1.ckpt"
-        save_checkpoint(path, header, arrays)
-        return path, header, arrays
+        ckpt.save(path)
+        return path, ckpt
 
     def test_round_trip_values(self, tmp_path, rng):
-        path, header, arrays = self.make(tmp_path, rng)
-        loaded_header, loaded = load_checkpoint(path)
-        assert loaded_header["id"] == "M1"
-        assert loaded_header["note"] == header["note"]
-        for k in arrays:
-            np.testing.assert_array_equal(loaded[k], arrays[k])
+        path, ckpt = self.make(tmp_path, rng)
+        loaded = Checkpoint.load(path)
+        for name in ("id", "config", "encoder_spec", "best_val_rmse",
+                     "epoch_of_best"):
+            assert getattr(loaded, name) == getattr(ckpt, name)
+        np.testing.assert_array_equal(loaded.head.W, ckpt.head.W)
+        np.testing.assert_array_equal(loaded.head.b, ckpt.head.b)
+        np.testing.assert_array_equal(loaded.projection, ckpt.projection)
+        assert (loaded.head.bounded, loaded.head.dropout_rate) == (True, 0.25)
 
     def test_resave_is_byte_identical(self, tmp_path, rng):
-        path, _, _ = self.make(tmp_path, rng)
-        loaded_header, loaded = load_checkpoint(path)
+        path, _ = self.make(tmp_path, rng)
         again = tmp_path / "again.ckpt"
-        save_checkpoint(again, loaded_header, loaded)
+        Checkpoint.load(path).save(again)
         assert again.read_bytes() == path.read_bytes()
 
+    # Digests of the format's bytes as first written; no training runs, so
+    # BLAS cannot move a byte.
+    @pytest.mark.parametrize("trainable, digest", [
+        (True, "f2091995553f5eb0aeb2538a657895592f491dde1d1066fee4f69524c590d5e4"),
+        (False, "1e29a13f55c03fceaad206949ba6d76f0b1a08add7a03921f07d338bf83d078a"),
+    ])
+    def test_fixed_checkpoint_bytes(self, tmp_path, trainable, digest):
+        d = 4
+        ckpt = Checkpoint(
+            id="M1",
+            config=TrainConfig(batch_size=16, learning_rate=1e-5, max_epochs=7,
+                               bounded=trainable),
+            encoder_spec=EncoderSpec(max_len=32, hidden_size=d,
+                                     trainable_layer=trainable),
+            head=head(np.arange(-4, 4).reshape(2, d) / 16, [0.25, -0.5],
+                      dropout=0.1, bounded=trainable),
+            projection=(np.eye(d) + np.arange(d * d).reshape(d, d) / 1024
+                        if trainable else None),
+            best_val_rmse=0.8125, epoch_of_best=3)
+        path = tmp_path / "M1.ckpt"
+        ckpt.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_truncated_payload_detected(self, tmp_path, rng):
-        path, _, _ = self.make(tmp_path, rng)
+        path, _ = self.make(tmp_path, rng)
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        with pytest.raises(ParseError, match="payload"):
+            Checkpoint.load(path)
 
     @pytest.mark.parametrize("damage", ["cut-header", "short-payload",
                                         "bad-magic"])
     def test_damaged_file_raises_parse_error_naming_path(self, tmp_path, rng,
                                                          damage):
-        path, _, _ = self.make(tmp_path, rng)
+        path, _ = self.make(tmp_path, rng)
         blob = path.read_bytes()
         path.write_bytes({
             "cut-header": blob[:blob.index(b"\n") - 1],
@@ -297,10 +365,18 @@ class TestCheckpointFile:
                                       b"dimasr-checkpoint-v0", 1),
         }[damage])
         with pytest.raises(ParseError, match=re.escape(str(path))):
-            load_checkpoint(path)
+            Checkpoint.load(path)
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "x.ckpt"
         path.write_bytes(b'{"format":"something-else"}\n')
-        with pytest.raises(ValueError, match="not a"):
-            load_checkpoint(path)
+        with pytest.raises(ParseError, match="not a"):
+            Checkpoint.load(path)
+
+    @pytest.mark.parametrize("name", list(BAD_HEADERS))
+    def test_bad_header_raises_parse_error_naming_path(self, tmp_path, rng, name):
+        change, expected = BAD_HEADERS[name]
+        path, _ = self.make(tmp_path, rng)
+        edit_header(path, change)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {expected}"):
+            Checkpoint.load(path)
