@@ -72,6 +72,9 @@ class EncoderSpec:
     model_name: str | None = None   # pretrained backend only
 
     def __post_init__(self):
+        for name in ("max_len", "hidden_size", "vocab_size", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise EncodingError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.backend not in BACKENDS:
             raise EncodingError(f"unknown backend: {self.backend!r}")
         if self.template not in TEMPLATES:

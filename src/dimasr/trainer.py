@@ -47,6 +47,9 @@ class TrainConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "seed", "patience"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:

@@ -77,6 +77,12 @@ ROWS = {
     "train encoder with max_len 4": (
         ["train", "--data", "{root}/insts", "--config", "{root}/len-4.json"],
         ["{root}/len-4.json", "'encoder'", "max_len"]),
+    "train encoder with hidden_size 8.0": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/width-float.json"],
+        ["{root}/width-float.json", "'encoder'", "hidden_size must be an int"]),
+    "train grid entry with batch_size 8.5": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/batch-float.json"],
+        ["{root}/batch-float.json", "grid entry 0", "batch_size must be an int"]),
     "train encoder with unknown key": (
         ["train", "--data", "{root}/insts", "--config", "{root}/colour.json"],
         ["{root}/colour.json", "'encoder'", "'colour'"]),
@@ -229,6 +235,8 @@ def inputs(tmp_path_factory):
     config(root / "int-entry.json", [1])
     config(root / "batch-0.json", [{**ENTRY, "batch_size": 0}])
     config(root / "len-4.json", [ENTRY], max_len=4)
+    config(root / "width-float.json", [ENTRY], hidden_size=8.0)
+    config(root / "batch-float.json", [{**ENTRY, "batch_size": 8.5}])
     config(root / "colour.json", [ENTRY], colour="red")
     config(root / "huge-rate.json", [{**ENTRY, "learning_rate": 1e12,
                                       "max_epochs": 3, "bounded": False}])

@@ -281,6 +281,8 @@ BAD_HEADERS = {
     "batch_size 0": (setter("config", "batch_size", value=0),
                      "key 'config': batch_size"),
     "config a list": (setter("config", value=[1]), "key 'config'"),
+    "hidden_size 8.0": (setter("encoder", "hidden_size", value=8.0),
+                        "key 'encoder': hidden_size must be an int"),
     "hidden_size not W's width": (setter("encoder", "hidden_size", value=16),
                                   "key 'arrays'"),
     "A without trainable layer": (setter("encoder", "trainable_layer", value=False),
