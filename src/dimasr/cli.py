@@ -7,8 +7,11 @@ finishes with a manifest of both by content hash; the run id is derived from
 those hashes, never from wall-clock time.
 
 Only corpus is imported at module level: the numpy-backed layers (encoding,
-trainer, metrics, ensemble) are imported by the stages that run them, so
-preprocess and submit start without loading numpy.
+trainer, ensemble) and metrics are imported by the stages that run them, so
+preprocess, evaluate and submit start without loading numpy.  Run as
+`python -m dimasr.cli`, a stage that returns flushes stdout and stderr and
+leaves with `os._exit`, skipping interpreter teardown; an uncaught exception
+takes the normal path.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ import math
 import os
 import sys
 from dataclasses import MISSING, fields
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, corpus
-from .corpus import (REGIMES, Instance, PairID, ParseError, VAScore, build,
-                     format_va, pair_sort_key, parse_va, read_json, record_error)
+from .corpus import (REGIMES, Instance, PairID, ParseError, build, format_va,
+                     pair_sort_key, parse_va, read_json, record_error)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,7 +85,7 @@ def instance_rows(instances: list[Instance]) -> list[dict]:
         row = {"ID": inst.id, "Text": inst.text, "Aspect": inst.aspect,
                "Pair": str(inst.pair)}
         if inst.gold is not None:
-            row["VA"] = format_va(inst.gold)
+            row["VA"] = format_va(*inst.gold.as_tuple())
         rows.append(row)
     return rows
 
@@ -131,18 +135,48 @@ def load_instances(path: Path) -> list[Instance]:
     return instances
 
 
+def _write_va_rows(path: Path, keys: list[tuple[str, str]], vas: list[str]) -> None:
+    """One {ID, Aspect, VA} record per key and "v#a" string: the bytes
+    `canonical_json` gives those records, laid out without building them."""
+    quote = json.encoder.encode_basestring
+    text = "[\n" + ",\n".join(
+        f'  {{\n    "Aspect": {quote(aspect)},\n    "ID": {quote(rid)},\n'
+        f'    "VA": {quote(va)}\n  }}' for (rid, aspect), va in zip(keys, vas)) + "\n]\n"
+    path.write_text(text if vas else "[]\n", encoding="utf-8")
+
+
 def write_predictions(path: Path, keys: list[tuple[str, str]],
                       values: list[list[float]]) -> None:
-    """One {ID, Aspect, VA} record per key and (valence, arousal) row."""
-    write_json(path, [{"ID": rid, "Aspect": aspect, "VA": format_va(VAScore(*va))}
-                      for (rid, aspect), va in zip(keys, values)])
+    """One {ID, Aspect, VA} record per key and (valence, arousal) row, each
+    value at full precision."""
+    _write_va_rows(path, keys, [format_va(v, a) for v, a in values])
 
 
 def _prediction_rows(path: Path) -> tuple[list[tuple[str, str]], list[float]]:
     """A prediction file's keys and its VA values flat as [v0, a0, v1, ...],
-    read without numpy; a record without a string ID and Aspect or a finite
-    "v#a" VA is a ParseError naming the path, the record and the field."""
+    read without numpy.  The file is parsed in bulk; only when that fails
+    does `_prediction_records` walk it, so that a top level that is not an
+    array, or a record without a string ID and Aspect or a finite "v#a" VA,
+    is a ParseError naming the path, the record and the field."""
     rows = read_json(path)
+    try:
+        keys = [(row["ID"], row["Aspect"]) for row in rows]
+        "".join(chain.from_iterable(keys))   # a TypeError unless all are strings
+        vas = [row["VA"] for row in rows]
+        if (isinstance(rows, list)
+                and list(map(str.count, vas, repeat("#"))).count(1) == len(vas)):
+            flat = list(map(float, "#".join(vas).split("#"))) if vas else []
+            if all(map(math.isfinite, flat)):
+                return keys, flat
+    except (KeyError, TypeError, ValueError):
+        pass
+    return _prediction_records(path, rows)
+
+
+def _prediction_records(path: Path, rows) -> tuple[list[tuple[str, str]], list[float]]:
+    """`_prediction_rows` of the JSON value `rows`, record by record."""
+    if not isinstance(rows, list):
+        raise ParseError(f"{path}: not a JSON array")
     keys, flat, i = [], [], 0
     try:
         for i, row in enumerate(rows):
@@ -446,17 +480,27 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _load_columns(files: dict[PairID, Path]) -> dict[PairID, metrics.Columns]:
-    """The columns of per-pair prediction (or gold) files, by pair."""
+def _load_va_rows(path: Path) -> tuple[list[tuple[str, str]], list[tuple[float, float]]]:
+    """A prediction file's keys and (valence, arousal) rows, read without numpy."""
+    keys, flat = _prediction_rows(path)
+    return keys, list(zip(flat[0::2], flat[1::2]))
+
+
+def _load_columns(files: dict[PairID, Path], load) -> dict[PairID, metrics.Columns]:
+    """The columns of per-pair prediction (or gold) files, by pair, read by
+    `load`: `load_predictions` for (n, 2) arrays, `_load_va_rows` for rows."""
     from .metrics import Columns
-    return {pair: Columns(*load_predictions(f), str(f)) for pair, f in files.items()}
+    return {pair: Columns(*load(f), str(f)) for pair, f in files.items()}
 
 
-def _load_gold(files: dict[PairID, Path]) -> dict[PairID, metrics.Columns]:
-    """Gold columns per pair, read like prediction files: a record without
-    VA, as in a test split, or a repeated (ID, Aspect) key is a ParseError."""
-    gold = _load_columns(files)
+def _load_gold(files: dict[PairID, Path], load) -> dict[PairID, metrics.Columns]:
+    """Gold columns per pair, read like prediction files: a file without
+    records, a record without VA, as in a test split, or a repeated
+    (ID, Aspect) key is a ParseError."""
+    gold = _load_columns(files, load)
     for g in gold.values():
+        if not g.keys:
+            raise ParseError(f"{g.source}: no records to score against")
         _check_unique(g.source, g.keys)
     return gold
 
@@ -467,9 +511,12 @@ def cmd_evaluate(args) -> int:
     gold_files = stage.pair_files("gold", args.gold)
     pred_files = stage.pair_files("pred", args.pred)
     _match_gold(args.gold, gold_files, {Path(args.pred): pred_files})
-    gold = _load_gold(gold_files)
-    preds = {pair: metrics.align_columns(columns, gold[pair])
-             for pair, columns in _load_columns(pred_files).items()}
+    gold = _load_gold(gold_files, _load_va_rows)
+    preds = {}
+    for pair, columns in _load_columns(pred_files, _load_va_rows).items():
+        index = metrics.align_index(columns, gold[pair])
+        preds[pair] = columns.values if index is None else [
+            columns.values[i] for i in index]
     report = metrics.evaluate(preds, {p: g.values for p, g in gold.items()})
 
     write_json(stage.output("report.json"), report.as_dict())
@@ -498,10 +545,11 @@ def cmd_ensemble(args) -> int:
                 {Path(roots[split]) / mid: found
                  for split, by_member in files.items()
                  for mid, found in by_member.items()})
-    gold = _load_gold(gold_files)
+    gold = _load_gold(gold_files, load_predictions)
     members = [ensemble.Member(
-                   id=mid, dev=_load_columns(files["dev"][mid]),
-                   test=_load_columns(files["test"][mid]) if "test" in files else {})
+                   id=mid, dev=_load_columns(files["dev"][mid], load_predictions),
+                   test=(_load_columns(files["test"][mid], load_predictions)
+                         if "test" in files else {}))
                for mid in member_ids]
     # Aligns every member file; one whose keys differ is a ParseError naming it.
     pool = ensemble.CandidatePool(members, dev_gold=gold)
@@ -530,22 +578,21 @@ def cmd_ensemble(args) -> int:
 def write_submission(path: Path, keys: list[tuple[str, str]], values,
                      clamp: bool = True, precision: int = 2) -> int:
     """Write a leaderboard-format file from (valence, arousal) rows of
-    floats; returns how many values were clamped."""
+    floats, each value to `precision` decimals; returns how many rows were
+    clamped into [VA_MIN, VA_MAX]."""
     lo, hi = corpus.VA_MIN, corpus.VA_MAX
-    rows = []
+    vas = []
     n_clamped = 0
-    for (rid, aspect), (valence, arousal) in zip(keys, values):
-        va = VAScore(valence, arousal)
+    for (rid, aspect), (v, a) in zip(keys, values):
         if clamp:
-            clamped = VAScore(min(max(valence, lo), hi), min(max(arousal, lo), hi))
-            if clamped != va:
+            cv, ca = min(max(v, lo), hi), min(max(a, lo), hi)
+            if (cv, ca) != (v, a):
                 n_clamped += 1
                 logger.info("clamped %s/%s: %s -> %s", rid, aspect,
-                            format_va(va), format_va(clamped))
-            va = clamped
-        rows.append({"ID": rid, "Aspect": aspect,
-                     "VA": format_va(va, precision)})
-    write_json(path, rows)
+                            format_va(v, a), format_va(cv, ca))
+                v, a = cv, ca
+        vas.append(format_va(v, a, precision))
+    _write_va_rows(path, keys, vas)
     return n_clamped
 
 
@@ -651,4 +698,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # The manifest is written: flush and skip the teardown (unloading numpy
+    # alone costs tens of ms).  The `dimasr` console script exits normally.
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

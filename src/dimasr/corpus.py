@@ -113,15 +113,15 @@ def parse_va(value) -> VAScore:
     return VAScore(valence, arousal)
 
 
-def format_va(score: VAScore, precision: int | None = None) -> str:
-    """Serialize a VAScore to the "v#a" wire form.
+def format_va(valence: float, arousal: float, precision: int | None = None) -> str:
+    """Serialize a (valence, arousal) pair to the "v#a" wire form.
 
     precision=None keeps full float precision (round-trips exactly);
     an integer gives fixed decimal places, as used in submission files.
     """
     if precision is None:
-        return f"{score.valence!r}#{score.arousal!r}"
-    return f"{score.valence:.{precision}f}#{score.arousal:.{precision}f}"
+        return f"{valence!r}#{arousal!r}"
+    return f"{valence:.{precision}f}#{arousal:.{precision}f}"
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,9 @@ class EncoderSpec:
         for name in ("max_len", "hidden_size", "vocab_size", "seed"):
             if type(getattr(self, name)) is not int:
                 raise EncodingError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if type(self.trainable_layer) is not bool:
+            raise EncodingError(f"trainable_layer must be a bool, "
+                                f"got {self.trainable_layer!r}")
         if self.backend not in BACKENDS:
             raise EncodingError(f"unknown backend: {self.backend!r}")
         if self.template not in TEMPLATES:

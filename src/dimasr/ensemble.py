@@ -200,8 +200,9 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list | Columns],
         worst = np.sqrt(gram.diagonal().max() / n)
         scale = max(np.abs(tensor).max(), np.abs(gold_arr).max())
         tol = 1e-9 * worst * (worst + scale)
+        gold_rows = gold_arr.tolist()
         best = min(
-            (rmse_va(tensor[list(subsets[i])].mean(axis=0), gold_arr),
+            (rmse_va(tensor[list(subsets[i])].mean(axis=0).tolist(), gold_rows),
              len(subsets[i]), tuple(ids[j] for j in subsets[i]))
             for i in np.flatnonzero(mse <= mse.min() + tol))
         per_pair[pair] = SelectionEntry(subset=best[2], dev_rmse=best[0],

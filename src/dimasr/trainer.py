@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
@@ -50,10 +51,15 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs", "seed", "patience"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if type(self.bounded) is not bool:
+            raise ValueError(f"bounded must be a bool, got {self.bounded!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        rate = self.learning_rate
+        if (isinstance(rate, bool) or not isinstance(rate, (int, float))
+                or not 0 < rate < math.inf):
+            raise ValueError(f"learning_rate must be a finite number above 0, "
+                             f"got {rate!r}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
@@ -252,7 +258,7 @@ def _validation_rmse(feats: np.ndarray, golds: np.ndarray,
                      head: regressor.HeadParams,
                      projection: np.ndarray | None) -> float:
     e = encoding.apply_projection(feats, projection)
-    return metrics.rmse_va(regressor.predict(e, head), golds)
+    return metrics.rmse_va(regressor.predict(e, head).tolist(), golds.tolist())
 
 
 # Overflow shows as a non-finite loss or validation RMSE, which stop the run

@@ -171,6 +171,41 @@ ROWS = {
     "predict checkpoint id not its file name": (
         ["predict", "--ckpts", "{root}/ckpt-copied", "--data", "{root}/insts"],
         ["{root}/ckpt-copied/M2.ckpt", "'M1'"]),
+    "evaluate empty gold and prediction files": (
+        ["evaluate", "--pred", "{root}/empty-preds/M1", "--gold", "{root}/empty-gold"],
+        [f"{{root}}/empty-gold/{SYNTH_PAIRS[0]}.json", "no records"]),
+    "ensemble empty dev gold and member files": (
+        ["ensemble", "--dev-preds", "{root}/empty-preds", "--dev-gold",
+         "{root}/empty-gold"],
+        [f"{{root}}/empty-gold/{SYNTH_PAIRS[0]}.json", "no records"]),
+    "submit prediction file not an array": (
+        ["submit", "--pred", "{root}/object-preds"],
+        [f"{{root}}/object-preds/{SYNTH_PAIRS[0]}.json", "not a JSON array"]),
+    "evaluate gold file not an array": (
+        ["evaluate", "--pred", "{root}/preds/M1", "--gold", "{root}/object-gold"],
+        [f"{{root}}/object-gold/{SYNTH_PAIRS[0]}.json", "not a JSON array"]),
+    "train grid entry with bounded 'false'": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/bounded-str.json"],
+        ["{root}/bounded-str.json", "grid entry 0", "bounded must be a bool"]),
+    "train encoder with trainable_layer 'false'": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/layer-str.json"],
+        ["{root}/layer-str.json", "'encoder'", "trainable_layer must be a bool"]),
+    "train grid entry with learning_rate true": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/rate-true.json"],
+        ["{root}/rate-true.json", "grid entry 0", "learning_rate", "True"]),
+    "train grid entry with learning_rate NaN": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/rate-nan.json"],
+        ["{root}/rate-nan.json", "grid entry 0", "learning_rate", "nan"]),
+    "predict checkpoint config with bounded 'false'": (
+        ["predict", "--ckpts", "{root}/ckpt-bounded-str", "--data", "{root}/insts"],
+        ["{root}/ckpt-bounded-str/M1.ckpt", "'config'", "bounded must be a bool"]),
+    "predict checkpoint encoder with trainable_layer 'false'": (
+        ["predict", "--ckpts", "{root}/ckpt-layer-str", "--data", "{root}/insts"],
+        ["{root}/ckpt-layer-str/M1.ckpt", "'encoder'",
+         "trainable_layer must be a bool"]),
+    "predict checkpoint config with learning_rate true": (
+        ["predict", "--ckpts", "{root}/ckpt-rate-true", "--data", "{root}/insts"],
+        ["{root}/ckpt-rate-true/M1.ckpt", "'config'", "learning_rate", "True"]),
 }
 
 
@@ -242,6 +277,10 @@ def inputs(tmp_path_factory):
                                       "max_epochs": 3, "bounded": False}])
     config(root / "no-model.json", [ENTRY], backend="pretrained-multilingual")
     config(root / "repeat.json", [ENTRY, {**ENTRY, "seed": 42}])
+    config(root / "bounded-str.json", [{**ENTRY, "bounded": "false"}])
+    config(root / "layer-str.json", [ENTRY], trainable_layer="false")
+    config(root / "rate-true.json", [{**ENTRY, "learning_rate": True}])
+    config(root / "rate-nan.json", [{**ENTRY, "learning_rate": float("nan")}])
     shutil.copy(root / "one.json", root / "cut.json")
     truncate(root / "cut.json")
     (root / "empty").mkdir()
@@ -266,6 +305,11 @@ def inputs(tmp_path_factory):
     rewrite(root / "insts", root / "long-aspect", long_aspect)
     rewrite(root / "insts", root / "long-aspect-2", long_aspect, SYNTH_PAIRS[1])
     rewrite(root / "preds/M1", root / "int-id-preds", set_field("ID", 5))
+    rewrite(root / "preds/M1", root / "object-preds", lambda rows: rows[0])
+    rewrite(root / "insts", root / "object-gold", lambda rows: rows[0])
+    rewrite(root / "insts", root / "empty-gold", lambda rows: [])
+    for member in ("M1", "M2"):   # a pool of two, both empty where the gold is
+        rewrite(root / "preds/M1", root / "empty-preds" / member, lambda rows: [])
     rewrite(root / "insts", root / "no-va",
             lambda rows: [{k: v for k, v in r.items() if k != "VA"} for r in rows])
     rewrite(root / "insts", root / "one-record",
@@ -288,7 +332,13 @@ def inputs(tmp_path_factory):
                          ("ckpt-wide", set_key("encoder", "hidden_size", value=2 * d)),
                          ("ckpt-no-a", no_projection),
                          ("ckpt-raw", set_key("bounded", value=False)),
-                         ("ckpt-escaped", set_key("id", value="../escaped"))):
+                         ("ckpt-escaped", set_key("id", value="../escaped")),
+                         ("ckpt-bounded-str",
+                          set_key("config", "bounded", value="false")),
+                         ("ckpt-layer-str",
+                          set_key("encoder", "trainable_layer", value="false")),
+                         ("ckpt-rate-true",
+                          set_key("config", "learning_rate", value=True))):
         edit_checkpoint(root / "ckpts", root / name, change)
     shutil.copytree(root / "ckpts", root / "ckpt-copied")
     shutil.copy(root / "ckpt-copied/M1.ckpt", root / "ckpt-copied/M2.ckpt")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimasr import metrics
 from dimasr.corpus import PairID, ParseError, VAScore
 from dimasr.metrics import Columns, EvalReport, align_columns, evaluate, rmse_va
 from synth import make_instances
@@ -66,6 +67,54 @@ class TestRmseVA:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             rmse_va([], [])
+
+
+# Boundaries of numpy's summation: a plain sum below 8 values, eight
+# accumulators up to 128, halves above that, 8,192-value blocks on numpy < 2.3.
+SUM_SIZES = st.one_of(st.integers(1, 10_500), st.sampled_from(
+    [1, 7, 8, 9, 15, 16, 127, 128, 129, 136, 255, 256, 8191, 8192, 8193, 10_000]))
+
+
+def numpy_rmse(p: np.ndarray, g: np.ndarray) -> float:
+    d = p - g
+    return float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
+
+
+class TestNumpyOrder:
+    """rmse_va and the pair average add in numpy's order, so they equal the
+    numpy expressions they replace bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=SUM_SIZES, seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-8, 1.0, 1e8]))
+    def test_rmse_equals_numpy(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(1, 9, (n, 2)) * scale
+        g = rng.uniform(1, 9, (n, 2))
+        assert rmse_va(p.tolist(), g.tolist()) == numpy_rmse(p, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(0, 1e6), min_size=1, max_size=300))
+    def test_pair_average_equals_numpy_mean(self, values):
+        pairs = [PairID.parse(f"p{i}-dom") for i in range(len(values))]
+        gold = {pair: [(5.0, 5.0)] for pair in pairs}
+        preds = {pair: [(5.0 + v, 5.0)] for pair, v in zip(pairs, values)}
+        report = evaluate(preds, gold)
+        assert report.average == float(np.mean(list(report.per_pair.values())))
+
+    @pytest.mark.parametrize("n", [8193, 10_000, 20_000])
+    def test_block_order_of_older_numpy(self, monkeypatch, n):
+        # numpy < 2.3 adds whole blocks of 8,192, each summed as numpy sums
+        # a vector of that length.
+        monkeypatch.setattr(metrics, "_numpy_sums_in_blocks", lambda: True)
+        rng = np.random.default_rng(n)
+        p, g = rng.uniform(1, 9, (n, 2)), rng.uniform(1, 9, (n, 2))
+        d = p - g
+        rows = np.sum(d * d, axis=1)
+        total = 0.0
+        for lo in range(0, n, 8192):
+            total += float(np.add.reduce(rows[lo:lo + 8192]))
+        assert rmse_va(p.tolist(), g.tolist()) == float(np.sqrt(total / n))
 
 
 def columns_for(instances, offset=0.0, source="pred.json"):
