@@ -8,10 +8,10 @@ those hashes, never from wall-clock time.
 
 Only corpus is imported at module level: the numpy-backed layers (encoding,
 trainer, ensemble) and metrics are imported by the stages that run them, so
-preprocess, evaluate and submit start without loading numpy.  Run as
-`python -m dimasr.cli`, a stage that returns flushes stdout and stderr and
-leaves with `os._exit`, skipping interpreter teardown; an uncaught exception
-takes the normal path.
+preprocess, evaluate and submit start without loading numpy.  Run as the
+`dimasr` command or `python -m dimasr.cli` (both `run`), a stage that returns
+flushes stdout and stderr and leaves with `os._exit`, skipping interpreter
+teardown; an uncaught exception takes the normal path.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 import os
 import sys
 from dataclasses import MISSING, fields
-from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -39,7 +38,8 @@ if TYPE_CHECKING:
 
 # Stages multiply small arrays: an OpenBLAS thread pool costs start-up, saves nothing.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-logger = logging.getLogger(__name__)
+# Named, not __name__: run with -m, the module is __main__.
+logger = logging.getLogger("dimasr.cli")
 
 MANIFEST_NAME = "manifest.json"
 
@@ -135,46 +135,20 @@ def load_instances(path: Path) -> list[Instance]:
     return instances
 
 
-def _write_va_rows(path: Path, keys: list[tuple[str, str]], vas: list[str]) -> None:
-    """One {ID, Aspect, VA} record per key and "v#a" string: the bytes
-    `canonical_json` gives those records, laid out without building them."""
-    quote = json.encoder.encode_basestring
-    text = "[\n" + ",\n".join(
-        f'  {{\n    "Aspect": {quote(aspect)},\n    "ID": {quote(rid)},\n'
-        f'    "VA": {quote(va)}\n  }}' for (rid, aspect), va in zip(keys, vas)) + "\n]\n"
-    path.write_text(text if vas else "[]\n", encoding="utf-8")
-
-
 def write_predictions(path: Path, keys: list[tuple[str, str]],
                       values: list[list[float]]) -> None:
     """One {ID, Aspect, VA} record per key and (valence, arousal) row, each
     value at full precision."""
-    _write_va_rows(path, keys, [format_va(v, a) for v, a in values])
+    write_json(path, [{"ID": rid, "Aspect": aspect, "VA": format_va(v, a)}
+                      for (rid, aspect), (v, a) in zip(keys, values)])
 
 
 def _prediction_rows(path: Path) -> tuple[list[tuple[str, str]], list[float]]:
     """A prediction file's keys and its VA values flat as [v0, a0, v1, ...],
-    read without numpy.  The file is parsed in bulk; only when that fails
-    does `_prediction_records` walk it, so that a top level that is not an
-    array, or a record without a string ID and Aspect or a finite "v#a" VA,
-    is a ParseError naming the path, the record and the field."""
+    read without numpy; a top level that is not an array, or a record
+    without a string ID and Aspect or a finite "v#a" VA, is a ParseError
+    naming the path, the record and the field."""
     rows = read_json(path)
-    try:
-        keys = [(row["ID"], row["Aspect"]) for row in rows]
-        "".join(chain.from_iterable(keys))   # a TypeError unless all are strings
-        vas = [row["VA"] for row in rows]
-        if (isinstance(rows, list)
-                and list(map(str.count, vas, repeat("#"))).count(1) == len(vas)):
-            flat = list(map(float, "#".join(vas).split("#"))) if vas else []
-            if all(map(math.isfinite, flat)):
-                return keys, flat
-    except (KeyError, TypeError, ValueError):
-        pass
-    return _prediction_records(path, rows)
-
-
-def _prediction_records(path: Path, rows) -> tuple[list[tuple[str, str]], list[float]]:
-    """`_prediction_rows` of the JSON value `rows`, record by record."""
     if not isinstance(rows, list):
         raise ParseError(f"{path}: not a JSON array")
     keys, flat, i = [], [], 0
@@ -480,24 +454,24 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _load_va_rows(path: Path) -> tuple[list[tuple[str, str]], list[tuple[float, float]]]:
-    """A prediction file's keys and (valence, arousal) rows, read without numpy."""
-    keys, flat = _prediction_rows(path)
-    return keys, list(zip(flat[0::2], flat[1::2]))
-
-
-def _load_columns(files: dict[PairID, Path], load) -> dict[PairID, metrics.Columns]:
-    """The columns of per-pair prediction (or gold) files, by pair, read by
-    `load`: `load_predictions` for (n, 2) arrays, `_load_va_rows` for rows."""
+def _load_columns(files: dict[PairID, Path]) -> dict[PairID, metrics.Columns]:
+    """The columns of per-pair prediction (or gold) files, by pair."""
     from .metrics import Columns
-    return {pair: Columns(*load(f), str(f)) for pair, f in files.items()}
+    return {pair: Columns(*load_predictions(f), str(f)) for pair, f in files.items()}
 
 
-def _load_gold(files: dict[PairID, Path], load) -> dict[PairID, metrics.Columns]:
+def _load_rows(path: Path) -> metrics.Columns:
+    """A prediction (or gold) file as columns whose values are a list of
+    (valence, arousal) rows, read without numpy."""
+    from .metrics import Columns
+    keys, flat = _prediction_rows(path)
+    return Columns(keys, list(zip(flat[0::2], flat[1::2])), str(path))
+
+
+def _check_gold(gold: dict[PairID, metrics.Columns]) -> dict[PairID, metrics.Columns]:
     """Gold columns per pair, read like prediction files: a file without
     records, a record without VA, as in a test split, or a repeated
     (ID, Aspect) key is a ParseError."""
-    gold = _load_columns(files, load)
     for g in gold.values():
         if not g.keys:
             raise ParseError(f"{g.source}: no records to score against")
@@ -511,12 +485,9 @@ def cmd_evaluate(args) -> int:
     gold_files = stage.pair_files("gold", args.gold)
     pred_files = stage.pair_files("pred", args.pred)
     _match_gold(args.gold, gold_files, {Path(args.pred): pred_files})
-    gold = _load_gold(gold_files, _load_va_rows)
-    preds = {}
-    for pair, columns in _load_columns(pred_files, _load_va_rows).items():
-        index = metrics.align_index(columns, gold[pair])
-        preds[pair] = columns.values if index is None else [
-            columns.values[i] for i in index]
+    gold = _check_gold({pair: _load_rows(f) for pair, f in gold_files.items()})
+    preds = {pair: metrics.align_columns(_load_rows(f), gold[pair])
+             for pair, f in pred_files.items()}
     report = metrics.evaluate(preds, {p: g.values for p, g in gold.items()})
 
     write_json(stage.output("report.json"), report.as_dict())
@@ -545,11 +516,10 @@ def cmd_ensemble(args) -> int:
                 {Path(roots[split]) / mid: found
                  for split, by_member in files.items()
                  for mid, found in by_member.items()})
-    gold = _load_gold(gold_files, load_predictions)
+    gold = _check_gold(_load_columns(gold_files))
     members = [ensemble.Member(
-                   id=mid, dev=_load_columns(files["dev"][mid], load_predictions),
-                   test=(_load_columns(files["test"][mid], load_predictions)
-                         if "test" in files else {}))
+                   id=mid, dev=_load_columns(files["dev"][mid]),
+                   test=_load_columns(files["test"][mid]) if "test" in files else {})
                for mid in member_ids]
     # Aligns every member file; one whose keys differ is a ParseError naming it.
     pool = ensemble.CandidatePool(members, dev_gold=gold)
@@ -581,7 +551,7 @@ def write_submission(path: Path, keys: list[tuple[str, str]], values,
     floats, each value to `precision` decimals; returns how many rows were
     clamped into [VA_MIN, VA_MAX]."""
     lo, hi = corpus.VA_MIN, corpus.VA_MAX
-    vas = []
+    rows = []
     n_clamped = 0
     for (rid, aspect), (v, a) in zip(keys, values):
         if clamp:
@@ -591,8 +561,8 @@ def write_submission(path: Path, keys: list[tuple[str, str]], values,
                 logger.info("clamped %s/%s: %s -> %s", rid, aspect,
                             format_va(v, a), format_va(cv, ca))
                 v, a = cv, ca
-        vas.append(format_va(v, a, precision))
-    _write_va_rows(path, keys, vas)
+        rows.append({"ID": rid, "Aspect": aspect, "VA": format_va(v, a, precision)})
+    write_json(path, rows)
     return n_clamped
 
 
@@ -697,10 +667,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    # The manifest is written: flush and skip the teardown (unloading numpy
-    # alone costs tens of ms).  The `dimasr` console script exits normally.
+def run() -> None:
+    """The `dimasr` command and `python -m dimasr.cli`: once `main` has
+    returned, its manifest written, flush stdout and stderr and leave with
+    `os._exit`, skipping interpreter teardown (unloading numpy alone costs
+    tens of ms).  An uncaught exception, or argparse's exit, takes the
+    normal path."""
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)
+
+
+if __name__ == "__main__":
+    run()

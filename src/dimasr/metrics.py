@@ -44,16 +44,15 @@ class Columns(NamedTuple):
     source: str
 
 
-def align_index(columns: Columns, ref: Columns) -> list[int] | None:
-    """The row of `columns` holding each key of `ref`, whose keys are unique;
-    None when the key lists are equal and no row moves.
+def align_columns(columns: Columns, ref: Columns) -> np.ndarray | list:
+    """`columns.values` reordered to the keys of `ref`, whose keys are unique.
 
-    Otherwise each reference key must occur exactly once and no other key
-    may; the first duplicate, missing or extra key raises a one-line
-    ParseError naming both sources.
+    Equal key lists return the values unchanged.  Otherwise each reference
+    key must occur exactly once and no other key may; the first duplicate,
+    missing or extra key raises a one-line ParseError naming both sources.
     """
     if columns.keys == ref.keys:
-        return None
+        return columns.values
     where = f"{columns.source}: (ID, Aspect) keys differ from {ref.source}"
     row = {}
     for i, key in enumerate(columns.keys):
@@ -66,14 +65,9 @@ def align_index(columns: Columns, ref: Columns) -> list[int] | None:
         ref_keys = set(ref.keys)
         extra = next(k for k in columns.keys if k not in ref_keys)
         raise ParseError(f"{where}: first extra key {extra}")
-    return [row[k] for k in ref.keys]
-
-
-def align_columns(columns: Columns, ref: Columns) -> np.ndarray:
-    """`columns.values`, an (n, 2) array, reordered to the keys of `ref`
-    (see `align_index`); equal key lists return the values unchanged."""
-    index = align_index(columns, ref)
-    return columns.values if index is None else columns.values[index]
+    index = [row[k] for k in ref.keys]
+    values = columns.values
+    return [values[i] for i in index] if isinstance(values, list) else values[index]
 
 
 # numpy's float64 add.reduce: below 8 values a plain running sum, up to 128
@@ -188,7 +182,7 @@ class EvalReport:
 def evaluate(predictions: dict[PairID, np.ndarray | list],
              gold: dict[PairID, np.ndarray | list]) -> EvalReport:
     """Per-pair rmse_va plus the unweighted mean over pairs, from (n, 2)
-    predictions already aligned row for row with the gold (align_index)."""
+    predictions already aligned row for row with the gold (align_columns)."""
     per_pair: dict[PairID, float] = {}
     n_per_pair: dict[PairID, int] = {}
     for pair in sorted(gold, key=pair_sort_key):

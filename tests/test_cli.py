@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimasr import cli, encoding, ensemble, trainer
-from dimasr.corpus import VA_MAX, VA_MIN, ParseError, format_va, parse_va
+from dimasr.corpus import VA_MAX, VA_MIN, ParseError, parse_va
 from dimasr.encoding import EncoderSpec
 from dimasr.trainer import CHECKPOINT_MAGIC
 from synth import SYNTH_PAIRS, make_instances, write_raw_dir
@@ -800,65 +800,10 @@ class TestPredictionFiles:
             cli.load_predictions(path)
         assert str(exc.value) == f"{path}: record 1: field 'VA': {detail}"
 
-    @settings(max_examples=200, deadline=None)
-    @given(vas=st.lists(st.one_of(
-        st.builds("{!r}#{!r}".format, finite, finite),
-        st.sampled_from(["5#5#5", "5", "#5", "5#", " 5.5 # 4 ", "1_0#2", "nan#1",
-                         "1#-inf", "0x1#2", "５#5"]),
-        st.text(alphabet="0123456789.e+-# _", max_size=8),
-        st.one_of(st.none(), st.floats(), st.integers(), st.lists(st.text(), max_size=1)),
-    ), max_size=6))
-    @example(vas=["5", "5#5#5"])   # two '#' in all, but not one a row
-    def test_bulk_parse_agrees_with_record_walk(self, tmp_path_factory, vas):
-        path = tmp_path_factory.mktemp("va") / "aaa-res.json"
-        rows = [{"ID": f"r{i}", "Aspect": "x", "VA": va} for i, va in enumerate(vas)]
-        path.write_text(json.dumps(rows), encoding="utf-8")
-
-        def outcome(read):
-            try:
-                return read()
-            except ParseError as exc:
-                return str(exc)
-        assert (outcome(lambda: cli._prediction_rows(path))
-                == outcome(lambda: cli._prediction_records(path, rows)))
-
 
 # Any text, plus the characters JSON must escape and non-ASCII it must not.
 json_text = st.one_of(st.text(), st.sampled_from(
     ['"', "\\", "\x00\x1f\n\t\r", "屏幕 é", "\u2028\x7f"]))
-
-
-class TestVARowWriter:
-    """write_predictions and write_submission lay their rows out directly:
-    the text must be `canonical_json` of the {ID, Aspect, VA} row dicts."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(st.tuples(json_text, json_text, finite, finite), max_size=6),
-           precision=st.one_of(st.none(), st.integers(0, 8)), clamp=st.booleans())
-    @example(rows=[], precision=None, clamp=True)
-    @example(rows=[("r\"0\\", "\x01屏", 5e-324, -2.5e-310),
-                   ("r1", "x", 1.5e300, -0.0)], precision=None, clamp=True)
-    @example(rows=[("r0", "\u2028", 1e-7, 123456789.0), ("r1", "x", 9.005, 0.995)],
-             precision=2, clamp=True)
-    def test_equals_canonical_json_of_row_dicts(self, tmp_path_factory, rows,
-                                                precision, clamp):
-        path = tmp_path_factory.mktemp("rows") / "aaa-res.json"
-        keys = [(rid, aspect) for rid, aspect, _, _ in rows]
-        values = [(v, a) for _, _, v, a in rows]
-        if precision is None:
-            cli.write_predictions(path, keys, values)
-        else:
-            n_clamped = cli.write_submission(path, keys, values, clamp=clamp,
-                                             precision=precision)
-            if clamp:
-                clamped = [(min(max(v, VA_MIN), VA_MAX), min(max(a, VA_MIN), VA_MAX))
-                           for v, a in values]
-                assert n_clamped == sum(c != v for c, v in zip(clamped, values))
-                values = clamped
-        expected = cli.canonical_json(
-            [{"ID": rid, "Aspect": aspect, "VA": format_va(v, a, precision)}
-             for (rid, aspect), (v, a) in zip(keys, values)])
-        assert path.read_text(encoding="utf-8") == expected
 
 
 class TestCanonicalJson:
@@ -982,9 +927,14 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
 
 
 class TestModuleExit:
-    """`python -m dimasr.cli` leaves through os._exit once `main` returns.
-    With output piped and block-buffered it must print what a normal exit
-    from `cli.main` prints, and exit with the same code."""
+    """`python -m dimasr.cli` and the `dimasr` command both run `cli.run`,
+    which leaves through os._exit once `main` returns.  With output piped
+    and block-buffered it must print what a normal exit from `cli.main`
+    prints, and exit with the same code."""
+
+    def test_console_script_runs_run(self):
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        assert 'dimasr = "dimasr.cli:run"' in pyproject.read_text(encoding="utf-8")
 
     MAIN = "import sys; from dimasr import cli; sys.exit(cli.main(sys.argv[1:]))"
 
@@ -1004,10 +954,8 @@ class TestModuleExit:
                 [sys.executable, *entry,
                  *(arg.format(work=pipeline) for arg in argv), "--out", str(out)],
                 env=env, capture_output=True, text=True, timeout=120)
-            # Run with -m, the module's logger is named __main__.
             runs.append((proc.returncode, proc.stdout,
-                         proc.stderr.replace(str(out), "<out>")
-                         .replace(" __main__: ", " dimasr.cli: ")))
+                         proc.stderr.replace(str(out), "<out>")))
         assert runs[0] == runs[1]
         assert runs[0][0] == code
         assert runs[0][1] + runs[0][2]   # there was output to lose

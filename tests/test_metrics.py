@@ -102,10 +102,19 @@ class TestNumpyOrder:
         report = evaluate(preds, gold)
         assert report.average == float(np.mean(list(report.per_pair.values())))
 
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 10_000, 20_000])
+    def test_rmse_equals_numpy_across_blocks(self, n):
+        # Past 8,192 rows the numpy before 2.3 sums in blocks: on that numpy
+        # this is the check that `_mean`'s block branch matches it.
+        rng = np.random.default_rng(n)
+        p, g = rng.uniform(1, 9, (n, 2)), rng.uniform(1, 9, (n, 2))
+        assert rmse_va(p.tolist(), g.tolist()) == numpy_rmse(p, g)
+
     @pytest.mark.parametrize("n", [8193, 10_000, 20_000])
     def test_block_order_of_older_numpy(self, monkeypatch, n):
-        # numpy < 2.3 adds whole blocks of 8,192, each summed as numpy sums
-        # a vector of that length.
+        # The block branch as modelled (whole blocks of 8,192 added, each
+        # summed as numpy sums a vector of that length), run on any numpy;
+        # whether the model is numpy < 2.3 only that numpy can tell, above.
         monkeypatch.setattr(metrics, "_numpy_sums_in_blocks", lambda: True)
         rng = np.random.default_rng(n)
         p, g = rng.uniform(1, 9, (n, 2)), rng.uniform(1, 9, (n, 2))
@@ -147,6 +156,14 @@ class TestAlign:
         shuffled = [instances[i] for i in perm]
         p = align_columns(columns_for(shuffled), columns_for(instances))
         np.testing.assert_array_equal(p, columns_for(instances).values)
+
+    def test_row_lists_align_like_arrays(self):
+        instances = make_instances("zho-res", 8, seed=1)
+        cols = columns_for(list(reversed(instances)), offset=0.5)
+        ref = columns_for(instances, source="gold.json")
+        rows = cols._replace(values=[tuple(r) for r in cols.values.tolist()])
+        assert align_columns(rows, ref) == [tuple(r) for r in
+                                            align_columns(cols, ref).tolist()]
 
     def test_missing_prediction_named(self):
         instances = make_instances("zho-res", 3, seed=0)
