@@ -454,10 +454,20 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _load_columns(files: dict[PairID, Path]) -> dict[PairID, metrics.Columns]:
-    """The columns of per-pair prediction (or gold) files, by pair."""
-    from .metrics import Columns
-    return {pair: Columns(*load_predictions(f), str(f)) for pair, f in files.items()}
+def _load_columns(files: dict[PairID, Path], refs: dict[PairID, metrics.Columns]
+                  ) -> dict[PairID, metrics.Columns]:
+    """The columns of per-pair prediction files, by pair, each aligned to
+    `refs[pair]` as soon as it is read, so it keeps that reference's key
+    list instead of its own.  A pair without a reference takes this file's
+    keys, de-duplicated, as one; a repeat in the file then fails its own
+    alignment."""
+    from .metrics import Columns, align_columns
+    out = {}
+    for pair, path in files.items():
+        cols = Columns(*load_predictions(path), str(path))
+        ref = refs.setdefault(pair, cols._replace(keys=list(dict.fromkeys(cols.keys))))
+        out[pair] = Columns(ref.keys, align_columns(cols, ref), cols.source)
+    return out
 
 
 def _load_rows(path: Path) -> metrics.Columns:
@@ -507,6 +517,12 @@ def cmd_ensemble(args) -> int:
     if not least <= len(member_ids) <= ensemble.MAX_POOL_SIZE:
         raise ParseError(f"{dev_root} holds {len(member_ids)} member directories; "
                          f"need {least} to {ensemble.MAX_POOL_SIZE}")
+    if args.test_preds:
+        extra = next((p for p in sorted(Path(args.test_preds).glob("*"))
+                      if p.is_dir() and p.name not in member_ids), None)
+        if extra is not None:
+            raise ParseError(f"{extra}: member directory without a match "
+                             f"under {dev_root}")
     roots = {"dev": args.dev_preds, "test": args.test_preds}
     files = {split: {mid: stage.pair_files(f"{split}-preds", root, mid)
                      for mid in member_ids}
@@ -516,12 +532,17 @@ def cmd_ensemble(args) -> int:
                 {Path(roots[split]) / mid: found
                  for split, by_member in files.items()
                  for mid, found in by_member.items()})
-    gold = _check_gold(_load_columns(gold_files))
+    gold = _check_gold({pair: metrics.Columns(*load_predictions(f), str(f))
+                        for pair, f in gold_files.items()})
+    # One key list per pair and split: the gold file's on dev, the first
+    # member's on test.  A member file whose keys differ is a ParseError
+    # naming it, raised as the file is read.
+    test_refs = {}
     members = [ensemble.Member(
-                   id=mid, dev=_load_columns(files["dev"][mid]),
-                   test=_load_columns(files["test"][mid]) if "test" in files else {})
+                   id=mid, dev=_load_columns(files["dev"][mid], gold),
+                   test=(_load_columns(files["test"][mid], test_refs)
+                         if "test" in files else {}))
                for mid in member_ids]
-    # Aligns every member file; one whose keys differ is a ParseError naming it.
     pool = ensemble.CandidatePool(members, dev_gold=gold)
     selection = ensemble.search(pool, gold, min_size=args.min_size,
                                 max_size=args.max_size)

@@ -68,8 +68,11 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        rate = self.dropout_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise ValueError(f"dropout_rate must be a number, got {rate!r}")
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {rate}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -217,9 +220,10 @@ class Checkpoint:
         spec = build(EncoderSpec, header["encoder"], f"{path}: key 'encoder'")
         config = build(TrainConfig, header["config"], f"{path}: key 'config'")
         for key in ("bounded", "seed", "dropout_rate"):   # kept so files keep their bytes
-            if header[key] != getattr(config, key):
+            value = getattr(config, key)
+            if header[key] != value or type(header[key]) is not type(value):
                 raise ParseError(f"{path}: key {key!r}: {header[key]!r} differs "
-                                 f"from 'config' {getattr(config, key)!r}")
+                                 f"from 'config' {value!r}")
         d, trainable = spec.hidden_size, spec.trainable_layer
         layout = [["W", [2, d]], ["b", [2]]] + ([["A", [d, d]]] if trainable else [])
         if header["arrays"] != layout:

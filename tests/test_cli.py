@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -636,6 +638,67 @@ class TestEnsembleStage:
         assert str(cut) in err[0]
         assert str((rows[-1]["ID"], rows[-1]["Aspect"])) in err[0]
         assert not out.exists()
+
+    def test_duplicate_in_first_test_member_names_file(self, pipeline, tmp_path,
+                                                       capsys):
+        # The first member's test file is the test reference; its own
+        # alignment to its de-duplicated keys catches the repeat.
+        preds = tmp_path / "preds"
+        shutil.copytree(pipeline / "preds", preds)
+        path = preds / "test" / "M1" / f"{SYNTH_PAIRS[0]}.json"
+        rows = json.loads(path.read_text())
+        path.write_text(json.dumps(rows + rows[:1]), encoding="utf-8")
+        out = tmp_path / "ens"
+        assert run(["ensemble", "--dev-preds", str(preds / "dev"),
+                    "--test-preds", str(preds / "test"),
+                    "--dev-gold", str(pipeline / "insts/dev"),
+                    "--out", str(out)]) == 1
+        err = single_error_line(capsys)
+        assert err.startswith(f"error: {path}: ") and "duplicate key" in err
+        assert not out.exists()
+
+    def test_peak_memory_grows_less_than_a_key_list_per_member(self, tmp_path):
+        """Traced peak of an in-process `ensemble` on pools of 2 and 12
+        members over the same gold: each extra member may add its aligned
+        values and its share of the search, but not its own key lists."""
+        rng = random.Random(3)
+        pairs, n = SYNTH_PAIRS[:2], 2000
+
+        def va():
+            return f"{rng.uniform(1, 9)!r}#{rng.uniform(1, 9)!r}"
+        for pair in pairs:
+            keys = [(f"{pair}-{i:05d}", f"aspect {i % 7}") for i in range(n)]
+            gold = tmp_path / "gold" / f"{pair}.json"
+            gold.parent.mkdir(parents=True, exist_ok=True)
+            gold.write_text(json.dumps([{"ID": rid, "Aspect": aspect, "VA": va()}
+                                        for rid, aspect in keys]))
+            for size in (2, 12):
+                for m in range(size):
+                    rows = [{"ID": rid, "Aspect": aspect, "VA": va()}
+                            for rid, aspect in keys]
+                    rng.shuffle(rows)
+                    path = tmp_path / f"pool{size}" / f"M{m:02d}" / f"{pair}.json"
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    path.write_text(json.dumps(rows))
+
+        def traced(step):
+            """(size, peak) traced while `step` runs, its result still held."""
+            tracemalloc.start()
+            try:
+                result = step()   # noqa: F841
+                return tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        key_bytes = traced(lambda: [
+            cli.load_predictions(tmp_path / "pool2/M00" / f"{pair}.json")[0]
+            for pair in pairs])[0]
+        peaks = {size: traced(lambda: run([
+                     "ensemble", "--dev-preds", str(tmp_path / f"pool{size}"),
+                     "--dev-gold", str(tmp_path / "gold"),
+                     "--out", str(tmp_path / f"ens{size}")]))[1]
+                 for size in (2, 12)}
+        per_member = (peaks[12] - peaks[2]) / 10
+        assert per_member < 0.5 * key_bytes, (per_member, key_bytes)
 
     def test_pool_over_max_size_rejected(self, pipeline, tmp_path, capsys):
         root = tmp_path / "preds"

@@ -206,6 +206,19 @@ ROWS = {
     "predict checkpoint config with learning_rate true": (
         ["predict", "--ckpts", "{root}/ckpt-rate-true", "--data", "{root}/insts"],
         ["{root}/ckpt-rate-true/M1.ckpt", "'config'", "learning_rate", "True"]),
+    "train grid entry with dropout_rate false": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/dropout-false.json"],
+        ["{root}/dropout-false.json", "grid entry 0", "dropout_rate", "False"]),
+    "predict checkpoint with dropout_rate false": (
+        ["predict", "--ckpts", "{root}/ckpt-dropout-false", "--data", "{root}/insts"],
+        ["{root}/ckpt-dropout-false/M1.ckpt", "'config'", "dropout_rate", "False"]),
+    "predict checkpoint bounded 1 where config says true": (
+        ["predict", "--ckpts", "{root}/ckpt-bounded-int", "--data", "{root}/insts"],
+        ["{root}/ckpt-bounded-int/M1.ckpt", "'bounded'", "1 differs"]),
+    "ensemble test member without a dev member": (
+        ["ensemble", "--dev-preds", "{root}/pool/dev", "--test-preds",
+         "{root}/pool/test", "--dev-gold", "{root}/insts"],
+        ["{root}/pool/test/M99", "{root}/pool/dev"]),
 }
 
 
@@ -281,6 +294,7 @@ def inputs(tmp_path_factory):
     config(root / "layer-str.json", [ENTRY], trainable_layer="false")
     config(root / "rate-true.json", [{**ENTRY, "learning_rate": True}])
     config(root / "rate-nan.json", [{**ENTRY, "learning_rate": float("nan")}])
+    config(root / "dropout-false.json", [{**ENTRY, "dropout_rate": False}])
     shutil.copy(root / "one.json", root / "cut.json")
     truncate(root / "cut.json")
     (root / "empty").mkdir()
@@ -310,6 +324,8 @@ def inputs(tmp_path_factory):
     rewrite(root / "insts", root / "empty-gold", lambda rows: [])
     for member in ("M1", "M2"):   # a pool of two, both empty where the gold is
         rewrite(root / "preds/M1", root / "empty-preds" / member, lambda rows: [])
+    for member in ("dev/M1", "dev/M2", "test/M1", "test/M2", "test/M99"):
+        shutil.copytree(root / "preds/M1", root / "pool" / member)
     rewrite(root / "insts", root / "no-va",
             lambda rows: [{k: v for k, v in r.items() if k != "VA"} for r in rows])
     rewrite(root / "insts", root / "one-record",
@@ -326,6 +342,10 @@ def inputs(tmp_path_factory):
     def no_projection(header):   # A's table entry and its d * d float64s
         header["arrays"].pop()
         return 8 * d * d
+
+    def dropout_false(header):   # both copies, as a run.json with false wrote them
+        header["dropout_rate"] = header["config"]["dropout_rate"] = False
+        return 0
     for name, change in (("ckpt-len-4", set_key("encoder", "max_len", value=4)),
                          ("ckpt-no-epoch", no_epoch),
                          ("ckpt-batch-0", set_key("config", "batch_size", value=0)),
@@ -338,7 +358,9 @@ def inputs(tmp_path_factory):
                          ("ckpt-layer-str",
                           set_key("encoder", "trainable_layer", value="false")),
                          ("ckpt-rate-true",
-                          set_key("config", "learning_rate", value=True))):
+                          set_key("config", "learning_rate", value=True)),
+                         ("ckpt-dropout-false", dropout_false),
+                         ("ckpt-bounded-int", set_key("bounded", value=1))):
         edit_checkpoint(root / "ckpts", root / name, change)
     shutil.copytree(root / "ckpts", root / "ckpt-copied")
     shutil.copy(root / "ckpt-copied/M1.ckpt", root / "ckpt-copied/M2.ckpt")
