@@ -107,10 +107,19 @@ def _check_unique(path: Path, keys: list[tuple[str, str]]) -> None:
                              f"{key}, first at record {first_at[key]}")
 
 
+def _check_pair(path: Path, rows: list[dict]) -> None:
+    """A ParseError naming the first record whose "Pair" is not the file's."""
+    pair = path.stem
+    for i, row in enumerate(rows):
+        if row.get("Pair", pair) != pair:
+            raise record_error(path, i, "Pair", f"{row['Pair']!r} in a file "
+                                                f"named for {pair!r}")
+
+
 def load_instances(path: Path) -> list[Instance]:
     """Instances of a per-pair file.  A record that is not an object, an ID,
     Text or Aspect that is missing or not a string, a blank Aspect, a bad VA
-    or a repeated (ID, Aspect) key is a ParseError naming the record."""
+    or Pair or a repeated (ID, Aspect) key is a ParseError naming the record."""
     pair = _file_pair(path)
     rows = read_json(path)
     if not isinstance(rows, list):
@@ -131,6 +140,7 @@ def load_instances(path: Path) -> list[Instance]:
             raise record_error(path, i, "VA", str(exc)) from None
         instances.append(Instance(id=row["ID"], text=row["Text"],
                                   aspect=row["Aspect"], gold=gold, pair=pair))
+    _check_pair(path, rows)
     _check_unique(path, [inst.key for inst in instances])
     return instances
 
@@ -146,8 +156,8 @@ def write_predictions(path: Path, keys: list[tuple[str, str]],
 def _prediction_rows(path: Path) -> tuple[list[tuple[str, str]], list[float]]:
     """A prediction file's keys and its VA values flat as [v0, a0, v1, ...],
     read without numpy; a top level that is not an array, or a record
-    without a string ID and Aspect or a finite "v#a" VA, is a ParseError
-    naming the path, the record and the field."""
+    without a string ID and Aspect or a finite "v#a" VA, or with a bad Pair,
+    is a ParseError naming the path, the record and the field."""
     rows = read_json(path)
     if not isinstance(rows, list):
         raise ParseError(f"{path}: not a JSON array")
@@ -170,6 +180,7 @@ def _prediction_rows(path: Path) -> tuple[list[tuple[str, str]], list[float]]:
     if not all(map(math.isfinite, flat)):
         i = next(j for j, x in enumerate(flat) if not math.isfinite(x)) // 2
         raise record_error(path, i, "VA", f"non-finite VA value {rows[i]['VA']!r}")
+    _check_pair(path, rows)
     return keys, flat
 
 
@@ -480,11 +491,16 @@ def _load_rows(path: Path) -> metrics.Columns:
 
 def _check_gold(gold: dict[PairID, metrics.Columns]) -> dict[PairID, metrics.Columns]:
     """Gold columns per pair, read like prediction files: a file without
-    records, a record without VA, as in a test split, or a repeated
-    (ID, Aspect) key is a ParseError."""
+    records, a record without VA, as in a test split, a VA preprocessing
+    drops or a repeated (ID, Aspect) key is a ParseError."""
     for g in gold.values():
         if not g.keys:
             raise ParseError(f"{g.source}: no records to score against")
+        for i, va in enumerate(g.values if isinstance(g.values, list)
+                               else g.values.tolist()):
+            if not corpus.VAScore(*va).in_range():
+                raise record_error(g.source, i, "VA", f"{format_va(*va)} outside "
+                                   f"[{corpus.VA_MIN}, {corpus.VA_MAX}]")
         _check_unique(g.source, g.keys)
     return gold
 
@@ -536,14 +552,14 @@ def cmd_ensemble(args) -> int:
                         for pair, f in gold_files.items()})
     # One key list per pair and split: the gold file's on dev, the first
     # member's on test.  A member file whose keys differ is a ParseError
-    # naming it, raised as the file is read.
+    # naming it, raised as the file is read.  Passed inline, the members are
+    # freed once the pool has stacked their values.
     test_refs = {}
-    members = [ensemble.Member(
+    pool = ensemble.CandidatePool([ensemble.Member(
                    id=mid, dev=_load_columns(files["dev"][mid], gold),
                    test=(_load_columns(files["test"][mid], test_refs)
                          if "test" in files else {}))
-               for mid in member_ids]
-    pool = ensemble.CandidatePool(members, dev_gold=gold)
+               for mid in member_ids], dev_gold=gold)
     selection = ensemble.search(pool, gold, min_size=args.min_size,
                                 max_size=args.max_size)
     combined = {split: ensemble.apply(selection, pool, split) for split in files}

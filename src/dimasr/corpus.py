@@ -29,12 +29,14 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 VA_MIN = 1.0
 VA_MAX = 9.0
 NULL_ASPECT = "NULL"
+_KINDS = {kind.__name__: kind for kind in (int, float, bool, str)}   # check_fields checks
 
 # The ten official language-domain pairs, in leaderboard column order.
 OFFICIAL_PAIRS = (
@@ -222,6 +224,32 @@ def build(cls, kwargs, where: str):
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from None
+
+
+def check_fields(obj, error=ValueError) -> None:
+    """Check dataclass `obj` against its fields' annotations, read as a class or
+    its name: exactly an int, bool or str; for float, a finite int or float,
+    stored back as a float.  `metadata` may bound a field by `min`, `below`
+    (with `min`), `gt` or `choices`.  The first failure raises `error`."""
+    for f in fields(obj):
+        kind = _KINDS.get(getattr(f.type, "__name__", f.type))
+        value, rules, must = getattr(obj, f.name), f.metadata, f"{f.name} must be"
+        if kind is float:
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise error(f"{must} a finite number, got {value!r}")
+            object.__setattr__(obj, f.name, value := float(value))
+        elif kind and type(value) is not kind:
+            raise error(f"{must} {'an' if kind is int else 'a'} {kind.__name__}, "
+                        f"got {value!r}")
+        low, below, gt = rules.get("min"), rules.get("below"), rules.get("gt")
+        if below is not None and not low <= value < below:
+            raise error(f"{must} in [{low}, {below}), got {value!r}")
+        if low is not None and value < low:
+            raise error(f"{must} >= {low}, got {value!r}")
+        if gt is not None and not value > gt:
+            raise error(f"{must} > {gt}, got {value!r}")
+        if "choices" in rules and value not in rules["choices"]:
+            raise error(f"{must} one of {rules['choices']}, got {value!r}")
 
 
 def _parse_record(obj, index: int, pair: PairID, path) -> RawRecord:

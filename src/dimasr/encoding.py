@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from functools import cache, lru_cache
 from itertools import islice
 
 import numpy as np
+
+from .corpus import check_fields
 
 PAD_ID = 0
 FIRST_SPECIAL_ID = 1   # [CLS] / <s>
@@ -62,34 +64,17 @@ class EncodingError(ValueError):
 class EncoderSpec:
     """Backend selection plus the shape contract every embedding honors."""
 
-    backend: str = BACKEND_TOY
-    template: str = TEMPLATE_BERT
-    max_len: int = 128
-    hidden_size: int = 32
-    vocab_size: int = 50000
-    seed: int = 0
+    backend: str = field(default=BACKEND_TOY, metadata={"choices": BACKENDS})
+    template: str = field(default=TEMPLATE_BERT, metadata={"choices": TEMPLATES})
+    max_len: int = field(default=128, metadata={"min": 8})
+    hidden_size: int = field(default=32, metadata={"min": 1})
+    vocab_size: int = field(default=50000, metadata={"min": N_RESERVED + 1})
+    seed: int = field(default=0, metadata={"min": 0})
     trainable_layer: bool = True
     model_name: str | None = None   # pretrained backend only
 
     def __post_init__(self):
-        for name in ("max_len", "hidden_size", "vocab_size", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise EncodingError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if type(self.trainable_layer) is not bool:
-            raise EncodingError(f"trainable_layer must be a bool, "
-                                f"got {self.trainable_layer!r}")
-        if self.backend not in BACKENDS:
-            raise EncodingError(f"unknown backend: {self.backend!r}")
-        if self.template not in TEMPLATES:
-            raise EncodingError(f"unknown template: {self.template!r}")
-        if self.max_len < 8:
-            raise EncodingError(f"max_len must be >= 8, got {self.max_len}")
-        if self.hidden_size <= 0:
-            raise EncodingError(f"hidden_size must be positive, got {self.hidden_size}")
-        if self.vocab_size <= N_RESERVED:
-            raise EncodingError(f"vocab_size must exceed {N_RESERVED}")
-        if self.seed < 0:
-            raise EncodingError(f"seed must be non-negative, got {self.seed}")
+        check_fields(self, EncodingError)
         if self.backend == BACKEND_PRETRAINED and not self.model_name:
             raise EncodingError(f"backend {BACKEND_PRETRAINED!r} needs model_name")
 

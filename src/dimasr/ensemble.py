@@ -64,7 +64,7 @@ class CandidatePool:
     reference key list: `dev_gold`'s on dev when given, else the first
     member's.  Members are aligned to it up front, so a file with a
     duplicate, missing or extra key fails here, naming the file.  A test
-    pair is held only when every member has it.
+    pair is held only when every member has it.  The members are not kept.
     """
 
     def __init__(self, members: list[Member],
@@ -72,16 +72,16 @@ class CandidatePool:
         if not 2 <= len(members) <= MAX_POOL_SIZE:
             raise ValueError(f"pool size must be in [2, {MAX_POOL_SIZE}], "
                              f"got {len(members)}")
-        ids = [m.id for m in members]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate member ids: {ids}")
+        self.ids = [m.id for m in members]
+        if len(set(self.ids)) != len(self.ids):
+            raise ValueError(f"duplicate member ids: {self.ids}")
         pairs = set(members[0].dev)
         for m in members[1:]:
             if set(m.dev) != pairs:
                 raise ValueError(f"member {m.id} covers pairs "
                                  f"{sorted(map(str, m.dev))}, expected "
                                  f"{sorted(map(str, pairs))}")
-        self.members = list(members)
+        self.pairs = sorted(pairs, key=pair_sort_key)
         self.reference: dict[str, dict[PairID, Columns]] = {"dev": {}, "test": {}}
         self.tensors: dict[str, dict[PairID, np.ndarray]] = {"dev": {}, "test": {}}
         for split in self.tensors:
@@ -101,15 +101,7 @@ class CandidatePool:
                     [align_columns(f, ref) for f in files])
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def ids(self) -> list[str]:
-        return [m.id for m in self.members]
-
-    @property
-    def pairs(self) -> list[PairID]:
-        return sorted(self.members[0].dev, key=pair_sort_key)
+        return len(self.ids)
 
 
 @dataclass

@@ -12,9 +12,11 @@ factor 8 * s * (1 - s) for bounded heads and the gradient of the projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .corpus import check_fields
 
 BOUND_LO = 1.0
 BOUND_HI = 9.0
@@ -55,18 +57,17 @@ class HeadParams:
 
     W: np.ndarray                 # (2, d)
     b: np.ndarray                 # (2,)
-    dropout_rate: float
+    dropout_rate: float = field(metadata={"min": 0, "below": 1})
     bounded: bool
 
     def __post_init__(self):
+        check_fields(self)
         self.W = np.asarray(self.W, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64)
         if self.W.ndim != 2 or self.W.shape[0] != 2:
             raise ValueError(f"W must be (2, d), got {self.W.shape}")
         if self.b.shape != (2,):
             raise ValueError(f"b must be (2,), got {self.b.shape}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     @property
     def hidden_size(self) -> int:

@@ -11,23 +11,24 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
 import numpy as np
 
 from . import encoding, metrics, regressor
-from .corpus import REGIMES, Instance, ParseError, build
+from .corpus import REGIMES, Instance, ParseError, build, check_fields
 from .encoding import EncoderSpec
 
 logger = logging.getLogger(__name__)
 
 # AdamW constants; unstated by the protocol, fixed here and recorded in every
-# checkpoint header.
+# checkpoint header as OPTIMIZER, which `load` requires.
 ADAMW_BETAS = (0.9, 0.999)
 ADAMW_EPS = 1e-8
 ADAMW_WEIGHT_DECAY = 0.01
+OPTIMIZER = {"betas": list(ADAMW_BETAS), "eps": ADAMW_EPS,
+             "weight_decay": ADAMW_WEIGHT_DECAY}
 IMPROVEMENT_DELTA = 1e-6
 CHECKPOINT_MAGIC = "dimasr-checkpoint-v1"
 
@@ -38,41 +39,17 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int
-    learning_rate: float
-    max_epochs: int
+    batch_size: int = field(metadata={"min": 1})
+    learning_rate: float = field(metadata={"gt": 0})
+    max_epochs: int = field(metadata={"min": 1})
     bounded: bool
-    seed: int = 42
-    patience: int = 2
-    regime: str = "joint"
-    dropout_rate: float = 0.1
+    seed: int = field(default=42, metadata={"min": 0})
+    patience: int = field(default=2, metadata={"min": 1})
+    regime: str = field(default="joint", metadata={"choices": REGIMES})
+    dropout_rate: float = field(default=0.1, metadata={"min": 0, "below": 1})
 
     def __post_init__(self):
-        for name in ("batch_size", "max_epochs", "seed", "patience"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if type(self.bounded) is not bool:
-            raise ValueError(f"bounded must be a bool, got {self.bounded!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        rate = self.learning_rate
-        if (isinstance(rate, bool) or not isinstance(rate, (int, float))
-                or not 0 < rate < math.inf):
-            raise ValueError(f"learning_rate must be a finite number above 0, "
-                             f"got {rate!r}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        rate = self.dropout_rate
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-            raise ValueError(f"dropout_rate must be a number, got {rate!r}")
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {rate}")
+        check_fields(self)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -167,9 +144,15 @@ class Checkpoint:
     encoder_spec: EncoderSpec
     head: regressor.HeadParams
     projection: np.ndarray | None
-    best_val_rmse: float
-    epoch_of_best: int
+    best_val_rmse: float = field(metadata={"min": 0})
+    epoch_of_best: int = field(metadata={"min": 1})
     history: list[dict] = field(default_factory=list)
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.epoch_of_best > self.config.max_epochs:
+            raise ValueError(f"epoch_of_best must be <= max_epochs "
+                             f"{self.config.max_epochs}, got {self.epoch_of_best}")
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """(n, 2) VA predictions from `features`, the instances'
@@ -186,8 +169,7 @@ class Checkpoint:
             "bounded": self.config.bounded,
             "seed": self.config.seed,
             "dropout_rate": self.config.dropout_rate,
-            "optimizer": {"betas": list(ADAMW_BETAS), "eps": ADAMW_EPS,
-                          "weight_decay": ADAMW_WEIGHT_DECAY},
+            "optimizer": OPTIMIZER,
             "best_val_rmse": self.best_val_rmse,
             "epoch_of_best": self.epoch_of_best,
             "format": CHECKPOINT_MAGIC,
@@ -201,9 +183,9 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         """Read a checkpoint file.  A cut, foreign or malformed file, a missing
-        header key, an encoder or config its class rejects, an array table
-        other than the one `save` writes for the encoder, or a top-level
-        copy that differs from `config` is one ParseError naming the path."""
+        header key, a value its class rejects, an optimizer block or array
+        table other than the one `save` writes, or a top-level copy that
+        differs from `config` is one ParseError naming the path."""
         line, newline, payload = Path(path).read_bytes().partition(b"\n")
         if not newline:
             raise ParseError(f"{path}: truncated checkpoint: no header line")
@@ -224,6 +206,9 @@ class Checkpoint:
             if header[key] != value or type(header[key]) is not type(value):
                 raise ParseError(f"{path}: key {key!r}: {header[key]!r} differs "
                                  f"from 'config' {value!r}")
+        if header["optimizer"] != OPTIMIZER:
+            raise ParseError(f"{path}: key 'optimizer': {header['optimizer']!r} "
+                             f"differs from {OPTIMIZER!r}")
         d, trainable = spec.hidden_size, spec.trainable_layer
         layout = [["W", [2, d]], ["b", [2]]] + ([["A", [d, d]]] if trainable else [])
         if header["arrays"] != layout:
@@ -237,10 +222,10 @@ class Checkpoint:
         head = regressor.HeadParams(W=W.reshape(2, d), b=b,
                                     dropout_rate=config.dropout_rate,
                                     bounded=config.bounded)
-        return cls(id=header["id"], config=config, encoder_spec=spec, head=head,
-                   projection=A.reshape(d, d) if trainable else None,
-                   best_val_rmse=header["best_val_rmse"],
-                   epoch_of_best=header["epoch_of_best"])
+        scalars = {key: header[key] for key in ("id", "best_val_rmse", "epoch_of_best")}
+        return build(cls, dict(scalars, config=config, encoder_spec=spec, head=head,
+                               projection=A.reshape(d, d) if trainable else None),
+                     str(path))
 
 
 Encoded = tuple[np.ndarray, np.ndarray]   # (features, gold VA), row-aligned

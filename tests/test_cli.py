@@ -257,6 +257,29 @@ class TestTrainStage:
             header = json.loads(path.read_bytes().split(b"\n", 1)[0])
             assert header["seed"] == header["config"]["seed"] == 5
 
+    def test_integer_spelling_of_a_float_writes_the_same_bytes(self, pipeline,
+                                                                tmp_path):
+        outs = []
+        for rate, dropout in (("1", "0"), ("1.0", "0.0")):
+            config_path = tmp_path / rate / "run.json"
+            config_path.parent.mkdir()
+            entry = {**TINY_GRID[0], "learning_rate": "@", "dropout_rate": "#"}
+            config_path.write_text(json.dumps({**RUN_CONFIG, "grid": [entry]})
+                                   .replace('"@"', rate).replace('"#"', dropout),
+                                   encoding="utf-8")
+            outs.append(tmp_path / rate / "ckpts")
+            assert run(["train", "--data", str(pipeline / "insts/train"),
+                        "--out", str(outs[-1]), "--config", str(config_path)]) == 0
+        assert (outs[0] / "M1.ckpt").read_bytes() == (outs[1] / "M1.ckpt").read_bytes()
+        # The manifest hashes the run.json file itself, whose bytes differ;
+        # everything else in it must be byte-identical.
+        manifests = []
+        for out in outs:
+            body = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            del body["run_id"], body["inputs"]["config/run.json"]
+            manifests.append(json.dumps(body, sort_keys=True))
+        assert manifests[0] == manifests[1]
+
     def test_grid_entry_wins_over_file_wide_values(self, tmp_path):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -15,6 +16,7 @@ from dimasr.corpus import (
     Quadruplet,
     RawRecord,
     VAScore,
+    check_fields,
     format_va,
     pair_sort_key,
     parse_quadruplet_file,
@@ -338,3 +340,22 @@ class TestPool:
         pooled = pool_pairs(per_pair)
         for pair, instances in per_pair.items():
             assert [i for i in pooled if i.pair == pair] == instances
+
+
+class TestCheckFields:
+    @pytest.mark.parametrize("kinds", [(int, float, bool, str),
+                                       ("int", "float", "bool", "str")],
+                             ids=["classes", "strings"])
+    def test_reads_class_and_string_annotations(self, kinds):
+        probe = dataclasses.make_dataclass(
+            "Probe", [(name, kind, dataclasses.field(metadata={"min": 0}))
+                      if name == "n" else (name, kind)
+                      for name, kind in zip(("n", "x", "flag", "name"), kinds)])
+        good = probe(n=1, x=2, flag=True, name="a")
+        check_fields(good)
+        assert type(good.x) is float
+        for name, bad in (("n", 1.0), ("n", -1), ("x", "2"), ("x", float("nan")),
+                          ("flag", 1), ("name", 5)):
+            with pytest.raises(KeyError, match=f"{name} must be"):
+                check_fields(probe(**{**dataclasses.asdict(good), name: bad}),
+                             KeyError)

@@ -49,11 +49,16 @@ def gold_fixture(n_dev=12, n_test=6, pairs=PAIRS):
     return out
 
 
-def make_pool(n_members=4, scale=0.8, pairs=PAIRS):
+def make_members(n_members=4, scale=0.8, pairs=PAIRS):
     gold = gold_fixture(pairs=pairs)
     members = [noisy_member(f"M{i + 1}", gold, scale, seed=10 + i)
                for i in range(n_members)]
-    return CandidatePool(members), {p: dev for p, (dev, _) in gold.items()}
+    return members, {p: dev for p, (dev, _) in gold.items()}
+
+
+def make_pool(n_members=4, scale=0.8, pairs=PAIRS):
+    members, gold = make_members(n_members, scale, pairs)
+    return CandidatePool(members), gold
 
 
 def keyed_average(members, pair, split="dev"):
@@ -170,19 +175,19 @@ class TestAverageSubset:
         assert list(out.values()) == [p.va.as_tuple() for p in m.dev[PAIRS[0]]]
 
     def test_matches_scalar_loop_oracle(self):
-        pool, _ = make_pool(3)
+        members, _ = make_members(3)
         for pair in PAIRS:
-            got = keyed_average(pool.members, pair)
+            got = keyed_average(members, pair)
             for key, (v_got, a_got) in got.items():
                 vals = []
-                for m in pool.members:
+                for m in members:
                     matching = [p for p in m.dev[pair] if p.key == key]
                     vals.append(matching[0].va)
                 v = sum(s.valence for s in vals) / len(vals)
                 a = sum(s.arousal for s in vals) / len(vals)
                 assert abs(v_got - v) < 1e-12
                 assert abs(a_got - a) < 1e-12
-            assert list(got) == [p.key for p in pool.members[0].dev[pair]]
+            assert list(got) == [p.key for p in members[0].dev[pair]]
 
     def test_misaligned_keys_rejected(self):
         a, b = self.two_members((4.0, 6.0), (6.0, 4.0))
@@ -200,11 +205,11 @@ class TestAverageSubset:
             apply_selection(selection, pool, "dev")
 
     def test_average_within_member_envelope(self):
-        pool, _ = make_pool(5)
+        members, _ = make_members(5)
         for pair in PAIRS:
-            avg = keyed_average(pool.members, pair)
-            stacks = {p.key: [] for p in pool.members[0].dev[pair]}
-            for m in pool.members:
+            avg = keyed_average(members, pair)
+            stacks = {p.key: [] for p in members[0].dev[pair]}
+            for m in members:
                 for p in m.dev[pair]:
                     stacks[p.key].append(p.va)
             for key, vas in stacks.items():
@@ -214,9 +219,9 @@ class TestAverageSubset:
                     assert min(values) - 1e-12 <= got <= max(values) + 1e-12
 
 
-def brute_force_best(pool, gold, pair, min_size, max_size):
+def brute_force_best(members, gold, pair, min_size, max_size):
     """Independent exhaustive re-scoring with the documented tie-break."""
-    members = sorted(pool.members, key=lambda m: m.id)
+    members = sorted(members, key=lambda m: m.id)
     gold_map = {i.key: i.gold for i in gold[pair]}
     best = None
     n_scored = 0
@@ -272,14 +277,14 @@ class TestSearch:
         assert entry.subset == ("A", "B")
         assert entry.dev_rmse == pytest.approx(0.0, abs=1e-12)
         assert entry.n_scored == 4  # C(3,2) + C(3,3)
-        best, n = brute_force_best(pool, gold, pair, 2, 3)
+        best, n = brute_force_best(members, gold, pair, 2, 3)
         assert n == 4 and best[2] == ("A", "B")
 
     def test_matches_brute_force_everywhere(self):
-        pool, gold = make_pool(5, scale=1.2)
-        selection = search(pool, gold)
+        members, gold = make_members(5, scale=1.2)
+        selection = search(CandidatePool(members), gold)
         for pair in PAIRS:
-            best, n_scored = brute_force_best(pool, gold, pair, 2, 5)
+            best, n_scored = brute_force_best(members, gold, pair, 2, 5)
             entry = selection.per_pair[pair]
             assert entry.subset == best[2]
             assert entry.dev_rmse == pytest.approx(best[0], abs=1e-12)
@@ -297,14 +302,13 @@ class TestSearch:
                    for i in range(8)]
         pool, gold = CandidatePool(members), {pair: instances}
         entry = search(pool, gold, min_size=1).per_pair[pair]
-        best, _ = brute_force_best(pool, gold, pair, 1, 8)
+        best, _ = brute_force_best(members, gold, pair, 1, 8)
         assert (entry.subset, entry.dev_rmse) == (best[2], best[0])
 
     def test_selected_subset_beats_every_other(self):
-        pool, gold = make_pool(5)
-        selection = search(pool, gold)
-        members = sorted(pool.members, key=lambda m: m.id)
-        by_id = {m.id: m for m in members}
+        members, gold = make_members(5)
+        selection = search(CandidatePool(members), gold)
+        by_id = {m.id: m for m in sorted(members, key=lambda m: m.id)}
         for pair, entry in selection.per_pair.items():
             gold_list = gold[pair]
             for k in range(2, 6):
@@ -338,15 +342,15 @@ class TestSearch:
                    for mid in ("M2", "M3", "M1")]
         pool, gold = CandidatePool(members), {pair: instances}
         entry = search(pool, gold, min_size=1).per_pair[pair]
-        best, n_scored = brute_force_best(pool, gold, pair, 1, 3)
+        best, n_scored = brute_force_best(members, gold, pair, 1, 3)
         assert (entry.subset, entry.dev_rmse, entry.n_scored) == \
                (best[2], best[0], n_scored)
 
     def test_member_order_invariance(self):
-        pool, gold = make_pool(5)
-        shuffled = list(pool.members)
+        members, gold = make_members(5)
+        shuffled = list(members)
         random.Random(3).shuffle(shuffled)
-        a = search(pool, gold)
+        a = search(CandidatePool(members), gold)
         b = search(CandidatePool(shuffled), gold)
         assert {p: e.subset for p, e in a.per_pair.items()} == \
                {p: e.subset for p, e in b.per_pair.items()}
@@ -391,8 +395,8 @@ class TestSearch:
 
 
 @st.composite
-def tie_prone_pools(draw):
-    """Pools of 2..8 members whose dev errors are fresh draws, exact
+def tie_prone_members(draw):
+    """Lists of 2..8 members whose dev errors are fresh draws, exact
     duplicates of an earlier member (exact ties) or its negation (pairs that
     cancel to an RMSE of about 0), listed in a drawn order."""
     n = draw(st.integers(1, 6))
@@ -413,19 +417,20 @@ def tie_prone_pools(draw):
     ids = draw(st.permutations([f"M{i + 1}" for i in range(size)]))
     members = [Member(id=mid, dev={pair: preds_from(instances, off)})
                for mid, off in zip(ids, offsets)]
-    return CandidatePool(members), {pair: instances}
+    return members, {pair: instances}
 
 
 class TestSearchProperties:
     @settings(max_examples=150, deadline=None)
-    @given(drawn=tie_prone_pools(), min_size=st.integers(1, 3))
+    @given(drawn=tie_prone_members(), min_size=st.integers(1, 3))
     def test_equals_brute_force_and_apply(self, drawn, min_size):
-        pool, gold = drawn
+        members, gold = drawn
+        pool = CandidatePool(members)
         pair = PAIRS[0]
         min_size = min(min_size, len(pool))
         selection = search(pool, gold, min_size=min_size)
         entry = selection.per_pair[pair]
-        best, n_scored = brute_force_best(pool, gold, pair, min_size, len(pool))
+        best, n_scored = brute_force_best(members, gold, pair, min_size, len(pool))
         assert entry.subset == best[2]
         assert entry.n_scored == n_scored
         assert abs(entry.dev_rmse - best[0]) <= 1e-12

@@ -215,6 +215,33 @@ ROWS = {
     "predict checkpoint bounded 1 where config says true": (
         ["predict", "--ckpts", "{root}/ckpt-bounded-int", "--data", "{root}/insts"],
         ["{root}/ckpt-bounded-int/M1.ckpt", "'bounded'", "1 differs"]),
+    "predict checkpoint best_val_rmse 'abc'": (
+        ["predict", "--ckpts", "{root}/ckpt-rmse-str", "--data", "{root}/insts"],
+        ["{root}/ckpt-rmse-str/M1.ckpt", "best_val_rmse", "'abc'"]),
+    "predict checkpoint best_val_rmse null": (
+        ["predict", "--ckpts", "{root}/ckpt-rmse-null", "--data", "{root}/insts"],
+        ["{root}/ckpt-rmse-null/M1.ckpt", "best_val_rmse", "None"]),
+    "predict checkpoint epoch_of_best -5": (
+        ["predict", "--ckpts", "{root}/ckpt-epoch-neg", "--data", "{root}/insts"],
+        ["{root}/ckpt-epoch-neg/M1.ckpt", "epoch_of_best", "-5"]),
+    "predict checkpoint epoch_of_best above max_epochs": (
+        ["predict", "--ckpts", "{root}/ckpt-epoch-late", "--data", "{root}/insts"],
+        ["{root}/ckpt-epoch-late/M1.ckpt", "epoch_of_best", "max_epochs"]),
+    "predict checkpoint optimizer eps 'x'": (
+        ["predict", "--ckpts", "{root}/ckpt-eps-str", "--data", "{root}/insts"],
+        ["{root}/ckpt-eps-str/M1.ckpt", "'optimizer'", "'x'"]),
+    "train instance Pair of another pair": (
+        ["train", "--data", "{root}/other-pair", "--config", "{root}/one.json"],
+        [f"{{root}}/other-pair/{SYNTH_PAIRS[0]}.json", "record 1", "'Pair'",
+         f"'{SYNTH_PAIRS[1]}'"]),
+    "evaluate gold Pair of another pair": (
+        ["evaluate", "--pred", "{root}/preds/M1", "--gold", "{root}/other-pair"],
+        [f"{{root}}/other-pair/{SYNTH_PAIRS[0]}.json", "record 1", "'Pair'",
+         f"'{SYNTH_PAIRS[1]}'"]),
+    "evaluate gold VA 0.5#5": (
+        ["evaluate", "--pred", "{root}/preds/M1", "--gold", "{root}/low-gold"],
+        [f"{{root}}/low-gold/{SYNTH_PAIRS[0]}.json", "record 1", "'VA'",
+         "0.5#5.0"]),
     "ensemble test member without a dev member": (
         ["ensemble", "--dev-preds", "{root}/pool/dev", "--test-preds",
          "{root}/pool/test", "--dev-gold", "{root}/insts"],
@@ -313,7 +340,9 @@ def inputs(tmp_path_factory):
     for name, change in (("int-id", set_field("ID", 5)),
                          ("null-text", set_field("Text", None)),
                          ("list-aspect", set_field("Aspect", ["battery"])),
-                         ("blank-aspect", set_field("Aspect", " \t"))):
+                         ("blank-aspect", set_field("Aspect", " \t")),
+                         ("other-pair", set_field("Pair", SYNTH_PAIRS[1])),
+                         ("low-gold", set_field("VA", "0.5#5"))):
         rewrite(root / "insts", root / name, change)
     long_aspect = set_field("Aspect", " ".join(["word"] * 200))
     rewrite(root / "insts", root / "long-aspect", long_aspect)
@@ -360,7 +389,12 @@ def inputs(tmp_path_factory):
                          ("ckpt-rate-true",
                           set_key("config", "learning_rate", value=True)),
                          ("ckpt-dropout-false", dropout_false),
-                         ("ckpt-bounded-int", set_key("bounded", value=1))):
+                         ("ckpt-bounded-int", set_key("bounded", value=1)),
+                         ("ckpt-rmse-str", set_key("best_val_rmse", value="abc")),
+                         ("ckpt-rmse-null", set_key("best_val_rmse", value=None)),
+                         ("ckpt-epoch-neg", set_key("epoch_of_best", value=-5)),
+                         ("ckpt-epoch-late", set_key("epoch_of_best", value=2)),
+                         ("ckpt-eps-str", set_key("optimizer", "eps", value="x"))):
         edit_checkpoint(root / "ckpts", root / name, change)
     shutil.copytree(root / "ckpts", root / "ckpt-copied")
     shutil.copy(root / "ckpt-copied/M1.ckpt", root / "ckpt-copied/M2.ckpt")

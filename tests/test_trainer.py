@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from dimasr import encoding, metrics, regressor
 from dimasr.corpus import REGIMES, Instance, PairID, VAScore
-from dimasr.encoding import EncoderSpec
+from dimasr.encoding import EncoderSpec, EncodingError
 from dimasr.trainer import (
     ADAMW_BETAS,
     ADAMW_EPS,
@@ -38,6 +39,15 @@ def config(**overrides):
                 seed=42, patience=2, dropout_rate=0.1)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def checkpoint(**overrides):
+    base = dict(id="M1", config=config(),
+                encoder_spec=EncoderSpec(hidden_size=2, trainable_layer=False),
+                head=regressor.HeadParams(W=np.zeros((2, 2)), b=np.zeros(2),
+                                          dropout_rate=0.1, bounded=True),
+                projection=None, best_val_rmse=0.5, epoch_of_best=1)
+    return Checkpoint(**{**base, **overrides})
 
 
 def scripted(values):
@@ -227,6 +237,60 @@ class TestConfig:
         assert TrainConfig(**cfg.to_dict()) == cfg
 
 
+# class: (constructor, the error it raises, a wrong-kind value for every
+# field with a rule, an out-of-range value for every bounded field).
+SCHEMAS = {
+    TrainConfig: (config, ValueError,
+                  {"batch_size": 8.0, "learning_rate": "0.05", "max_epochs": True,
+                   "bounded": 1, "seed": 4.2, "patience": None, "regime": 0,
+                   "dropout_rate": False},
+                  {"batch_size": 0, "learning_rate": 0.0, "max_epochs": 0,
+                   "seed": -1, "patience": 0, "regime": "federated",
+                   "dropout_rate": 1.0}),
+    EncoderSpec: (EncoderSpec, EncodingError,
+                  {"backend": None, "template": 1, "max_len": 128.0,
+                   "hidden_size": "8", "vocab_size": True, "seed": 0.0,
+                   "trainable_layer": "true"},
+                  {"backend": "quantum", "template": "gpt", "max_len": 7,
+                   "hidden_size": 0, "vocab_size": 3, "seed": -1}),
+    Checkpoint: (checkpoint, ValueError,
+                 {"id": 1, "best_val_rmse": "abc", "epoch_of_best": 1.0},
+                 {"best_val_rmse": -0.5, "epoch_of_best": 0}),
+}
+# Fields without a rule of their own: nested objects, arrays, a free-form name.
+UNCHECKED = {"config", "encoder_spec", "head", "projection", "history", "model_name"}
+
+
+class TestFieldSchema:
+    @pytest.mark.parametrize("cls", list(SCHEMAS), ids=lambda cls: cls.__name__)
+    def test_every_field_with_a_rule_has_a_case(self, cls):
+        _, _, kinds, bounds = SCHEMAS[cls]
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert set(kinds) == names - UNCHECKED
+        assert set(bounds) == {f.name for f in dataclasses.fields(cls) if f.metadata}
+
+    @pytest.mark.parametrize("cls,name,value", [
+        pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
+        for cls, (_, _, kinds, bounds) in SCHEMAS.items()
+        for table in (kinds, bounds) for name, value in table.items()])
+    def test_bad_value_raises_the_class_error_naming_the_field(self, cls, name,
+                                                               value):
+        make, error, _, _ = SCHEMAS[cls]
+        with pytest.raises(error, match=f"^{name} must be") as caught:
+            make(**{name: value})
+        assert caught.type is error
+
+    def test_integer_floats_are_stored_as_floats(self):
+        cfg = config(learning_rate=1, dropout_rate=0)
+        assert cfg == config(learning_rate=1.0, dropout_rate=0.0)
+        assert [type(cfg.learning_rate), type(cfg.dropout_rate)] == [float, float]
+        assert type(checkpoint(best_val_rmse=1).best_val_rmse) is float
+
+    def test_epoch_of_best_beyond_max_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epoch_of_best must be <= max_epochs 5"):
+            checkpoint(epoch_of_best=6)
+
+
 class TestGrid:
     def test_default_grid_shape(self):
         grid = default_grid()
@@ -384,10 +448,11 @@ class TestCheckpointObject:
                                         elements=st.floats(width=64)))
 
         ints = st.integers(1, 2**31)
+        max_epochs = data.draw(ints)
         ckpt = Checkpoint(
             id=data.draw(st.text(min_size=1, max_size=8)),
             config=TrainConfig(
-                batch_size=data.draw(ints), max_epochs=data.draw(ints),
+                batch_size=data.draw(ints), max_epochs=max_epochs,
                 learning_rate=data.draw(st.floats(1e-300, 1e300)),
                 bounded=bounded, seed=data.draw(st.integers(0, 2**63)),
                 patience=data.draw(ints),
@@ -398,8 +463,8 @@ class TestCheckpointObject:
             head=regressor.HeadParams(W=array((2, d)), b=array((2,)),
                                       dropout_rate=0.1, bounded=bounded),
             projection=array((d, d)) if trainable else None,
-            best_val_rmse=data.draw(st.floats(allow_nan=False)),
-            epoch_of_best=data.draw(st.integers(0, 1000)))
+            best_val_rmse=data.draw(st.floats(0.0, allow_infinity=False)),
+            epoch_of_best=data.draw(st.integers(1, max_epochs)))
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp, "a.ckpt"), Path(tmp, "b.ckpt")
             ckpt.save(first)
