@@ -118,8 +118,9 @@ def _check_pair(path: Path, rows: list[dict]) -> None:
 
 def load_instances(path: Path) -> list[Instance]:
     """Instances of a per-pair file.  A record that is not an object, an ID,
-    Text or Aspect that is missing or not a string, a blank Aspect, a bad VA
-    or Pair or a repeated (ID, Aspect) key is a ParseError naming the record."""
+    Text or Aspect that is missing or not a string, a blank ID or Aspect, a
+    bad VA or Pair or a repeated (ID, Aspect) key is a ParseError naming the
+    record."""
     pair = _file_pair(path)
     rows = read_json(path)
     if not isinstance(rows, list):
@@ -132,8 +133,9 @@ def load_instances(path: Path) -> list[Instance]:
             if not isinstance(row.get(name), str):
                 detail = "not a string" if name in row else "missing"
                 raise record_error(path, i, name, detail)
-        if not row["Aspect"].strip():   # no token to encode
-            raise record_error(path, i, "Aspect", "blank")
+        for name in ("ID", "Aspect"):   # a blank Aspect has no token to encode
+            if not row[name].strip():
+                raise record_error(path, i, name, "blank")
         try:
             gold = parse_va(row["VA"]) if "VA" in row else None
         except ParseError as exc:
@@ -445,15 +447,20 @@ def cmd_predict(args) -> int:
             raise ParseError(f"{f}: checkpoint id {ckpt.id!r} cannot name a member "
                              f"directory: it must be the file name {f.stem!r}, "
                              f"and neither '.' nor '..'")
-    # Features depend on the encoder spec only: encode each pair once per
-    # distinct spec, every pair before any file is written.
+    # Features depend on the encoder spec and the instance only: encode all
+    # pairs' instances in one call per distinct spec, before any file is
+    # written, and split the rows back per pair.
+    pooled = [inst for instances in per_pair.values() for inst in instances]
     features = {}
-    for pair, instances in per_pair.items():
-        for spec in dict.fromkeys(ckpt.encoder_spec for ckpt in checkpoints):
-            try:
-                features[pair, spec] = encoding.instance_features(instances, spec)
-            except encoding.EncodingError as exc:
-                raise _encoding_error(exc, files[pair], files, per_pair, spec) from None
+    for spec in dict.fromkeys(ckpt.encoder_spec for ckpt in checkpoints):
+        try:
+            rows = encoding.instance_features(pooled, spec)
+        except encoding.EncodingError as exc:
+            raise _encoding_error(exc, args.data, files, per_pair, spec) from None
+        at = 0
+        for pair, instances in per_pair.items():
+            features[pair, spec] = rows[at:at + len(instances)]
+            at += len(instances)
     for pair, instances in per_pair.items():
         keys = [inst.key for inst in instances]
         for ckpt in checkpoints:
@@ -491,11 +498,14 @@ def _load_rows(path: Path) -> metrics.Columns:
 
 def _check_gold(gold: dict[PairID, metrics.Columns]) -> dict[PairID, metrics.Columns]:
     """Gold columns per pair, read like prediction files: a file without
-    records, a record without VA, as in a test split, a VA preprocessing
-    drops or a repeated (ID, Aspect) key is a ParseError."""
+    records, a record without VA, as in a test split, a blank ID, a VA
+    preprocessing drops or a repeated (ID, Aspect) key is a ParseError."""
     for g in gold.values():
         if not g.keys:
             raise ParseError(f"{g.source}: no records to score against")
+        for i, (rid, _) in enumerate(g.keys):
+            if not rid.strip():
+                raise record_error(g.source, i, "ID", "blank")
         for i, va in enumerate(g.values if isinstance(g.values, list)
                                else g.values.tolist()):
             if not corpus.VAScore(*va).in_range():

@@ -30,6 +30,7 @@ import json
 import math
 import random
 import sys
+import types
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -226,21 +227,37 @@ def build(cls, kwargs, where: str):
         raise ParseError(f"{where}: {exc}") from None
 
 
+def _field_kind(annotation) -> tuple[type | None, bool]:
+    """The kind `check_fields` checks for a field's annotation (a class, an
+    `X | None` union, or the name of either), None for any other, and
+    whether the annotation admits None."""
+    if isinstance(annotation, types.UnionType):
+        names = [t.__name__ for t in annotation.__args__]
+    else:
+        names = (annotation if isinstance(annotation, str)
+                 else getattr(annotation, "__name__", "")).split(" | ")
+    kinds = [name for name in names if name not in ("None", "NoneType")]
+    return _KINDS.get(kinds[0]) if len(kinds) == 1 else None, len(kinds) < len(names)
+
+
 def check_fields(obj, error=ValueError) -> None:
-    """Check dataclass `obj` against its fields' annotations, read as a class or
-    its name: exactly an int, bool or str; for float, a finite int or float,
-    stored back as a float.  `metadata` may bound a field by `min`, `below`
+    """Check dataclass `obj` against its fields' annotations, read as a class,
+    an `X | None` union or the name of either: exactly an int, bool or str;
+    for float, a finite int or float, stored back as a float; None where the
+    annotation admits it.  `metadata` may bound a field by `min`, `below`
     (with `min`), `gt` or `choices`.  The first failure raises `error`."""
     for f in fields(obj):
-        kind = _KINDS.get(getattr(f.type, "__name__", f.type))
+        kind, optional = _field_kind(f.type)
         value, rules, must = getattr(obj, f.name), f.metadata, f"{f.name} must be"
+        if value is None and optional:
+            continue
         if kind is float:
             if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                 raise error(f"{must} a finite number, got {value!r}")
             object.__setattr__(obj, f.name, value := float(value))
         elif kind and type(value) is not kind:
-            raise error(f"{must} {'an' if kind is int else 'a'} {kind.__name__}, "
-                        f"got {value!r}")
+            raise error(f"{must} {'an' if kind is int else 'a'} {kind.__name__}"
+                        f"{' or None' if optional else ''}, got {value!r}")
         low, below, gt = rules.get("min"), rules.get("below"), rules.get("gt")
         if below is not None and not low <= value < below:
             raise error(f"{must} in [{low}, {below}), got {value!r}")
@@ -259,6 +276,8 @@ def _parse_record(obj, index: int, pair: PairID, path) -> RawRecord:
     if not isinstance(rec_id, str):
         raise record_error(path, index, "ID",
                            "not a string" if "ID" in obj else "missing")
+    if not rec_id.strip():
+        raise record_error(path, index, "ID", "blank")
     text = obj.get("Text")
     if not isinstance(text, str):
         raise record_error(path, index, "Text", "missing or not a string")

@@ -77,6 +77,9 @@ class EncoderSpec:
         check_fields(self, EncodingError)
         if self.backend == BACKEND_PRETRAINED and not self.model_name:
             raise EncodingError(f"backend {BACKEND_PRETRAINED!r} needs model_name")
+        if self.backend != BACKEND_PRETRAINED and self.model_name is not None:
+            raise EncodingError(f"model_name must be None off backend "
+                                f"{BACKEND_PRETRAINED!r}, got {self.model_name!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -280,10 +283,10 @@ def apply_projection(feats: np.ndarray, projection: np.ndarray | None) -> np.nda
     if projection is None:
         return feats
     d = feats.shape[-1]
-    if projection.shape != (d, d):
+    if projection.shape[-2:] != (d, d):   # (d, d), or (k, d, d) stacked
         raise EncodingError(
             f"projection shape {projection.shape} does not match hidden size {d}")
-    return feats @ projection.T
+    return feats @ projection.swapaxes(-1, -2)
 
 
 def init_projection(d: int) -> np.ndarray:
@@ -296,9 +299,10 @@ def pair_features(pairs: list[tuple[str, str]], spec: EncoderSpec) -> np.ndarray
 
     This is the uniform contract the trainer consumes; any trainable
     projection is applied downstream, not here.  Callers encode each
-    instance set once per spec and share the result (`trainer.train_grid`,
-    `dimasr predict`), so the pretrained backend loads its model once per
-    set.
+    instance set once per spec and share the result: `trainer.train_grid`
+    its training and validation sets, `dimasr predict` all its pairs'
+    instances in one call, so the pretrained backend loads its model once
+    per set.
     """
     if spec.backend == BACKEND_TOY:
         # Hash and tokenize once per distinct token and text: texts recur per aspect.

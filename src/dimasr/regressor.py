@@ -8,6 +8,9 @@ forward_cached() is the one forward path: training runs it with dropout and
 keeps its cache for backward(), and predict() runs it with train=False.
 backward() returns exact analytic gradients, including the per-output chain
 factor 8 * s * (1 - s) for bounded heads and the gradient of the projection.
+Both take parameters with an optional leading config axis, W (k, 2, d),
+b (k, 2) and A (k, d, d), to run k heads on one batch with one dropout
+mask; each config's slice of a result is bit for bit its own 2-D run.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ def _scale_sigmoid(s: np.ndarray) -> np.ndarray:
 class HeadParams:
     """Learnable head parameters plus the knobs that shape forward_cached()."""
 
-    W: np.ndarray                 # (2, d)
-    b: np.ndarray                 # (2,)
+    W: np.ndarray                 # (2, d), or (k, 2, d) stacked
+    b: np.ndarray                 # (2,), or (k, 2) stacked
     dropout_rate: float = field(metadata={"min": 0, "below": 1})
     bounded: bool
 
@@ -64,14 +67,14 @@ class HeadParams:
         check_fields(self)
         self.W = np.asarray(self.W, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64)
-        if self.W.ndim != 2 or self.W.shape[0] != 2:
-            raise ValueError(f"W must be (2, d), got {self.W.shape}")
-        if self.b.shape != (2,):
-            raise ValueError(f"b must be (2,), got {self.b.shape}")
+        if self.W.ndim not in (2, 3) or self.W.shape[-2] != 2:
+            raise ValueError(f"W must be (2, d) or (k, 2, d), got {self.W.shape}")
+        if self.b.shape != self.W.shape[:-2] + (2,):
+            raise ValueError(f"b must be {self.W.shape[:-2] + (2,)}, got {self.b.shape}")
 
     @property
     def hidden_size(self) -> int:
-        return self.W.shape[1]
+        return self.W.shape[-1]
 
 
 def init_head(d: int, seed: int, dropout_rate: float, bounded: bool) -> HeadParams:
@@ -87,16 +90,18 @@ def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def mse_loss(pred, gold) -> float:
-    """Mean squared error over all instances and both output dimensions."""
+def mse_loss(pred, gold):
+    """Mean squared error over all instances and both output dimensions: a
+    float, or one per config for (k, n, 2) stacked predictions."""
     pred = np.atleast_2d(np.asarray(pred, dtype=np.float64))
     gold = np.atleast_2d(np.asarray(gold, dtype=np.float64))
-    if pred.shape != gold.shape:
+    if pred.shape[-2:] != gold.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {gold.shape}")
     if pred.size == 0:
         raise ValueError("mse_loss of an empty batch is undefined")
     diff = pred - gold
-    return float(np.mean(diff * diff))
+    loss = np.mean(diff * diff, axis=(-2, -1))
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def forward_cached(feats: np.ndarray, params: HeadParams,
@@ -109,17 +114,17 @@ def forward_cached(feats: np.ndarray, params: HeadParams,
     -> head -> bound (if bounded).  The cache feeds backward().
     """
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
-    e = feats if projection is None else feats @ projection.T
-    if e.shape[1] != params.hidden_size:
+    e = feats if projection is None else feats @ projection.swapaxes(-1, -2)
+    if e.shape[-1] != params.hidden_size:
         raise ValueError(
-            f"feature size {e.shape[1]} does not match head size {params.hidden_size}")
+            f"feature size {e.shape[-1]} does not match head size {params.hidden_size}")
     mask, h = 1.0, e   # no dropout: e * 1.0 would equal e bit for bit
     if train and params.dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training forward with dropout needs an rng")
-        mask = _dropout_mask(e.shape, params.dropout_rate, rng)
+        mask = _dropout_mask(e.shape[-2:], params.dropout_rate, rng)
         h = e * mask
-    y = h @ params.W.T + params.b
+    y = h @ params.W.swapaxes(-1, -2) + params.b[..., None, :]
     if params.bounded:
         s = sigmoid(y)
         pred = _scale_sigmoid(s)
@@ -146,9 +151,9 @@ def backward(cache: dict, gold: np.ndarray) -> dict[str, np.ndarray]:
     params: HeadParams = cache["params"]
     gold = np.atleast_2d(np.asarray(gold, dtype=np.float64))
     pred = cache["pred"]
-    if gold.shape != pred.shape:
+    if gold.shape != pred.shape[-2:]:
         raise ValueError(f"gold shape {gold.shape} does not match batch {pred.shape}")
-    n = pred.shape[0]
+    n = pred.shape[-2]
 
     g_pred = (pred - gold) / n
     if params.bounded:
@@ -158,12 +163,12 @@ def backward(cache: dict, gold: np.ndarray) -> dict[str, np.ndarray]:
         g_y = g_pred
 
     grads = {
-        "W": g_y.T @ cache["h"],
-        "b": g_y.sum(axis=0),
+        "W": g_y.swapaxes(-1, -2) @ cache["h"],
+        "b": g_y.sum(axis=-2),
     }
     if cache["projection"] is not None:
         g_h = g_y @ params.W
         g_e = g_h * cache["mask"]
-        grads["A"] = g_e.T @ cache["feats"]
+        grads["A"] = g_e.swapaxes(-1, -2) @ cache["feats"]
     return grads
 

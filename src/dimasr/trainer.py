@@ -71,37 +71,42 @@ def default_grid() -> list[TrainConfig]:
 
 
 class AdamW:
-    """Adam with decoupled weight decay; biases are exempt from decay.
+    """Adam with decoupled weight decay, stepping one parameter array in place.
 
-    With learning rate 0 a step leaves parameters bit-unchanged (decay is
-    multiplied by the learning rate, as in the decoupled formulation).
+    `learning_rate` is a float or an array that broadcasts against the
+    parameters (one rate per row of a stack of configs); `decay` scales the
+    weight decay per element and is 0 where a parameter is exempt (the
+    head's bias).  With learning rate 0 a step leaves parameters
+    bit-unchanged (decay is multiplied by the learning rate, as in the
+    decoupled formulation).
     """
 
-    def __init__(self, learning_rate: float):
+    def __init__(self, learning_rate, decay=1.0):
         self.lr = learning_rate
+        self.lr_decay = learning_rate * ADAMW_WEIGHT_DECAY * decay
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self.m = self.v = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
         beta1, beta2 = ADAMW_BETAS
-        for name, g in grads.items():
-            p = params[name]
-            if name not in self._m:
-                self._m[name] = np.zeros_like(p)
-                self._v[name] = np.zeros_like(p)
-            if name != "b":   # the head's bias
-                p -= self.lr * ADAMW_WEIGHT_DECAY * p
-            m = self._m[name]
-            v = self._v[name]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * (g * g)
-            m_hat = m / (1.0 - beta1 ** self.t)
-            v_hat = v / (1.0 - beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        params -= self.lr_decay * params
+        m, v = self.m, self.v
+        m *= beta1
+        m += (1.0 - beta1) * grads
+        v *= beta2
+        v += (1.0 - beta2) * (grads * grads)
+        m_hat = m / (1.0 - beta1 ** self.t)
+        v_hat = v / (1.0 - beta2 ** self.t)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the state of the stacked configs `rows` (a row mask) only."""
+        self.lr, self.lr_decay = self.lr[rows], self.lr_decay[rows]
+        if self.m is not None:
+            self.m, self.v = self.m[rows], self.v[rows]
 
 
 class EarlyStopping:
@@ -217,15 +222,22 @@ class Checkpoint:
         if len(payload) != 8 * (2 * d + 2 + (d * d if trainable else 0)):
             raise ParseError(f"{path}: truncated or padded payload: "
                              f"{len(payload)} bytes for {layout}")
-        W, b, A = np.split(np.frombuffer(payload, dtype="<f8").astype(np.float64),
-                           [2 * d, 2 * d + 2])
-        head = regressor.HeadParams(W=W.reshape(2, d), b=b,
-                                    dropout_rate=config.dropout_rate,
+        W, b, A = _unflatten(np.frombuffer(payload, dtype="<f8").astype(np.float64),
+                             d, trainable)
+        head = regressor.HeadParams(W=W, b=b, dropout_rate=config.dropout_rate,
                                     bounded=config.bounded)
         scalars = {key: header[key] for key in ("id", "best_val_rmse", "epoch_of_best")}
         return build(cls, dict(scalars, config=config, encoder_spec=spec, head=head,
-                               projection=A.reshape(d, d) if trainable else None),
-                     str(path))
+                               projection=A), str(path))
+
+
+def _unflatten(flat: np.ndarray, d: int, trainable: bool):
+    """W (..., 2, d), b (..., 2) and A (..., d, d), or None without a
+    trainable layer: views of the last axis of `flat`, laid out as a
+    checkpoint's payload."""
+    W, b, A = np.split(flat, [2 * d, 2 * d + 2], axis=-1)
+    lead = flat.shape[:-1]
+    return W.reshape(lead + (2, d)), b, A.reshape(lead + (d, d)) if trainable else None
 
 
 Encoded = tuple[np.ndarray, np.ndarray]   # (features, gold VA), row-aligned
@@ -245,89 +257,125 @@ def _encode_set(instances: list[Instance], encoder_spec: EncoderSpec,
 
 def _validation_rmse(feats: np.ndarray, golds: np.ndarray,
                      head: regressor.HeadParams,
-                     projection: np.ndarray | None) -> float:
+                     projection: np.ndarray | None) -> list[float]:
+    """The validation RMSE of each config of a stacked head."""
     e = encoding.apply_projection(feats, projection)
-    return metrics.rmse_va(regressor.predict(e, head).tolist(), golds.tolist())
+    gold = golds.tolist()
+    return [metrics.rmse_va(pred, gold)
+            for pred in regressor.predict(e, head).tolist()]
 
 
 # Overflow shows as a non-finite loss or validation RMSE, which stop the run
 # with its config id, epoch and step; numpy's own warnings would say less.
 @np.errstate(over="ignore", invalid="ignore")
-def train(train_set: list[Instance], validation_set: list[Instance],
-          config: TrainConfig, encoder_spec: EncoderSpec, *,
-          ckpt_id: str = "M1", val_metric_fn=None,
-          encoded: tuple[Encoded, Encoded | None] | None = None) -> Checkpoint:
-    """Run one training job and return the best-epoch checkpoint.
-
-    `val_metric_fn(epoch, model) -> float`, when given, replaces the
-    validation RMSE computation (the early-stopping tests inject scripted
-    sequences through it); `model` exposes {"head", "projection"}.
-    `encoded`, when given, holds `_encode_set` of the training and validation
-    sets, computed once by the caller (the validation part may be None when
-    `val_metric_fn` is given).
-    """
-    if encoded is None:
-        encoded = (_encode_set(train_set, encoder_spec, "training"),
-                   None if val_metric_fn is not None
-                   else _encode_set(validation_set, encoder_spec, "validation"))
+def _train_stack(encoded: tuple[Encoded, Encoded | None],
+                 configs: list[TrainConfig], ids: list[str],
+                 encoder_spec: EncoderSpec, val_metric_fn=None
+                 ) -> list[Checkpoint | TrainingError]:
+    """Train configs that share batch size, seed, dropout rate and head type
+    as one stack, each bit for bit as its own run would: they start from one
+    head and draw the same permutations and dropout masks.  Their parameters
+    are the rows of one buffer, each laid out as a checkpoint's payload, so
+    one forward, backward and AdamW step per batch serve them all.  Returns
+    each config's checkpoint or the TrainingError that stopped it."""
     (feats, golds), val_encoded = encoded
+    first, d, trainable = configs[0], encoder_spec.hidden_size, encoder_spec.trainable_layer
+    init = regressor.init_head(d, first.seed, first.dropout_rate, first.bounded)
+    row = [init.W.ravel(), init.b] + ([encoding.init_projection(d).ravel()]
+                                      if trainable else [])
+    buf = np.tile(np.concatenate(row), (len(configs), 1))
+    decay = np.ones(buf.shape[1])
+    _unflatten(decay, d, trainable)[1][:] = 0.0   # the head's bias is not decayed
+    opt = AdamW(np.array([[c.learning_rate] for c in configs]), decay)
+    rng = np.random.default_rng(first.seed)
+    stoppers = [EarlyStopping(c.patience) for c in configs]
+    best, results = [None] * len(configs), [None] * len(configs)
+    history: list[list[dict]] = [[] for _ in configs]
+    live = list(range(len(configs)))   # the config of each buffer row
+    head = projection = None   # views into buf, which unfinished() keeps
 
-    d = encoder_spec.hidden_size
-    head = regressor.init_head(d, config.seed, config.dropout_rate, config.bounded)
-    projection = encoding.init_projection(d) if encoder_spec.trainable_layer else None
+    def unfinished() -> bool:
+        """Slice the configs with a result out of the stack; False once none is left."""
+        nonlocal buf, live, head, projection
+        rows = np.array([results[c] is None for c in live])
+        buf, live = buf[rows], [c for c, kept in zip(live, rows) if kept]
+        opt.keep(rows)
+        W, b, projection = _unflatten(buf, d, trainable)
+        head = regressor.HeadParams(W=W, b=b, dropout_rate=first.dropout_rate,
+                                    bounded=first.bounded)
+        return bool(live)
 
-    tensors = {"W": head.W, "b": head.b}
-    if projection is not None:
-        tensors["A"] = projection
-    opt = AdamW(config.learning_rate)
-    rng = np.random.default_rng(config.seed)
-    stopper = EarlyStopping(config.patience)
-    best: dict[str, np.ndarray] = {k: v.copy() for k, v in tensors.items()}
-    history: list[dict] = []
-    n = len(feats)
-
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for step, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start:start + config.batch_size]
+    epoch = 0
+    while unfinished():
+        epoch += 1
+        order = rng.permutation(len(feats))
+        loss_sum = np.zeros(len(live))
+        for step, start in enumerate(range(0, len(feats), first.batch_size)):
+            idx = order[start:start + first.batch_size]
             pred, cache = regressor.forward_cached(
                 feats[idx], head, projection, rng=rng, train=True)
             loss = regressor.mse_loss(pred, golds[idx])
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"{ckpt_id}: non-finite loss at epoch {epoch}, step {step}")
             grads = regressor.backward(cache, golds[idx])
-            opt.step(tensors, grads)
+            opt.step(buf, np.concatenate([g.reshape(len(live), -1)
+                                          for g in grads.values()], axis=1))
             loss_sum += loss * len(idx)
-        train_mse = loss_sum / n
+            if not np.isfinite(loss).all():
+                for row in np.flatnonzero(~np.isfinite(loss)).tolist():
+                    results[live[row]] = TrainingError(
+                        f"{ids[live[row]]}: non-finite loss at epoch {epoch}, step {step}")
+                loss_sum = loss_sum[np.isfinite(loss)]
+                if not unfinished():
+                    return results
+        train_mse = (loss_sum / len(feats)).tolist()
 
-        if val_metric_fn is not None:
-            val_rmse = float(val_metric_fn(
-                epoch, {"head": head, "projection": projection}))
-        else:
-            val_rmse = _validation_rmse(*val_encoded, head, projection)
-        if not np.isfinite(val_rmse):
-            raise TrainingError(f"{ckpt_id}: non-finite validation RMSE at epoch {epoch}")
-        history.append({"epoch": epoch, "train_mse": train_mse,
-                        "val_rmse": val_rmse})
-        logger.info("%s epoch %d  train_mse %.6f  val_rmse %.6f",
-                    ckpt_id, epoch, train_mse, val_rmse)
+        val = ([float(val_metric_fn(epoch, {"head": head, "projection": projection}))]
+               if val_metric_fn is not None
+               else _validation_rmse(*val_encoded, head, projection))
+        for row, c in enumerate(live):
+            if not np.isfinite(val[row]):
+                results[c] = TrainingError(
+                    f"{ids[c]}: non-finite validation RMSE at epoch {epoch}")
+                continue
+            history[c].append({"epoch": epoch, "train_mse": train_mse[row],
+                               "val_rmse": val[row]})
+            logger.info("%s epoch %d  train_mse %.6f  val_rmse %.6f",
+                        ids[c], epoch, train_mse[row], val[row])
+            stopper = stoppers[c]
+            if stopper.update(val[row], epoch):
+                best[c] = buf[row].copy()
+            if stopper.should_stop:
+                logger.info("%s early stop after epoch %d (best epoch %d)",
+                            ids[c], epoch, stopper.best_epoch)
+            if stopper.should_stop or epoch == configs[c].max_epochs:
+                W, b, A = _unflatten(best[c], d, trainable)
+                results[c] = Checkpoint(
+                    id=ids[c], config=configs[c], encoder_spec=encoder_spec,
+                    head=regressor.HeadParams(W=W, b=b, dropout_rate=first.dropout_rate,
+                                              bounded=first.bounded),
+                    projection=A, best_val_rmse=float(stopper.best_score),
+                    epoch_of_best=int(stopper.best_epoch), history=history[c])
+    return results
 
-        if stopper.update(val_rmse, epoch):
-            best = {k: v.copy() for k, v in tensors.items()}
-        if stopper.should_stop:
-            logger.info("%s early stop after epoch %d (best epoch %d)",
-                        ckpt_id, epoch, stopper.best_epoch)
-            break
 
-    head.W = best["W"]
-    head.b = best["b"]
-    return Checkpoint(
-        id=ckpt_id, config=config, encoder_spec=encoder_spec, head=head,
-        projection=best.get("A"), best_val_rmse=float(stopper.best_score),
-        epoch_of_best=int(stopper.best_epoch), history=history,
-    )
+def train(train_set: list[Instance], validation_set: list[Instance],
+          config: TrainConfig, encoder_spec: EncoderSpec, *,
+          ckpt_id: str = "M1", val_metric_fn=None) -> Checkpoint:
+    """Run one training job and return the best-epoch checkpoint: a stack of
+    one config (`_train_stack`).
+
+    `val_metric_fn(epoch, model) -> float`, when given, replaces the
+    validation RMSE computation (the early-stopping tests inject scripted
+    sequences through it); `model` exposes {"head", "projection"}, stacks
+    of one config.
+    """
+    encoded = (_encode_set(train_set, encoder_spec, "training"),
+               None if val_metric_fn is not None
+               else _encode_set(validation_set, encoder_spec, "validation"))
+    (result,) = _train_stack(encoded, [config], [ckpt_id], encoder_spec,
+                             val_metric_fn)
+    if isinstance(result, TrainingError):
+        raise result
+    return result
 
 
 def train_grid(train_set: list[Instance], validation_set: list[Instance],
@@ -337,11 +385,24 @@ def train_grid(train_set: list[Instance], validation_set: list[Instance],
 
     Features depend on the encoder spec and the instances only, so both sets
     are encoded once, ahead of the first config, and shared by every run.
+    Configs train in stacks (`_train_stack`).  Once all have run, the
+    failure of the first failing config in grid order is raised, as a run
+    of the configs one after another would have met it.
     """
     if len(set(configs)) != len(configs):
         raise ValueError("grid configs must be distinct")
     encoded = (_encode_set(train_set, encoder_spec, "training"),
                _encode_set(validation_set, encoder_spec, "validation"))
-    return [train(train_set, validation_set, config, encoder_spec,
-                  ckpt_id=ckpt_id, encoded=encoded)
-            for ckpt_id, config in zip(ids, configs, strict=True)]
+    stacks: dict[tuple, list[int]] = {}
+    for i, (c, _) in enumerate(zip(configs, ids, strict=True)):
+        stacks.setdefault((c.batch_size, c.seed, c.dropout_rate, c.bounded), []).append(i)
+    results: list = [None] * len(configs)
+    for members in stacks.values():
+        trained = _train_stack(encoded, [configs[i] for i in members],
+                               [ids[i] for i in members], encoder_spec)
+        for i, result in zip(members, trained):
+            results[i] = result
+    for result in results:
+        if isinstance(result, TrainingError):
+            raise result
+    return results

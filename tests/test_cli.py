@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -325,27 +326,34 @@ class TestTrainStage:
 
 
 def count_feature_calls(monkeypatch) -> list[tuple]:
+    """Record each `instance_features` call as (instances per pair, spec)."""
     calls = []
     real = encoding.instance_features
 
     def counting(instances, spec):
-        calls.append((instances[0].pair, spec))
+        calls.append((Counter(str(inst.pair) for inst in instances), spec))
         return real(instances, spec)
 
     monkeypatch.setattr(encoding, "instance_features", counting)
     return calls
 
 
+def instances_per_pair(data: Path) -> Counter:
+    return Counter({pair: len(json.loads((data / f"{pair}.json").read_text()))
+                    for pair in SYNTH_PAIRS})
+
+
 class TestPredictStage:
     def test_each_pair_encoded_once_for_shared_spec(self, pipeline, tmp_path,
                                                      monkeypatch):
+        # One call encodes every instance of every pair.
         calls = count_feature_calls(monkeypatch)
         out = tmp_path / "preds"
         assert run(["predict", "--ckpts", str(pipeline / "ckpts"),
                     "--data", str(pipeline / "insts/dev"),
                     "--out", str(out)]) == 0
-        assert len(calls) == len(SYNTH_PAIRS)
-        assert sorted(str(pair) for pair, _ in calls) == sorted(SYNTH_PAIRS)
+        assert [per_pair for per_pair, _ in calls] == [
+            instances_per_pair(pipeline / "insts/dev")]
         assert tree_hashes(out) == tree_hashes(pipeline / "preds/dev")
 
     def test_each_pair_encoded_once_per_distinct_spec(self, pipeline, tmp_path,
@@ -366,8 +374,9 @@ class TestPredictStage:
         assert run(["predict", "--ckpts", str(ckpts),
                     "--data", str(pipeline / "insts/dev"),
                     "--out", str(out)]) == 0
-        assert len(calls) == 2 * len(SYNTH_PAIRS)
-        assert len(set(calls)) == len(calls)
+        every_pair = instances_per_pair(pipeline / "insts/dev")
+        assert calls == [(every_pair, EncoderSpec(**RUN_CONFIG["encoder"])),
+                         (every_pair, other)]
         for mid in ("M1", "M2"):
             for pair in SYNTH_PAIRS:
                 rel = f"{mid}/{pair}.json"

@@ -160,6 +160,12 @@ class TestParseFile:
         with pytest.raises(ParseError, match=r"record 0: field 'Aspect': blank in entry 1"):
             parse_quadruplet_file(self.write(tmp_path, rows), PAIR)
 
+    def test_blank_id_names_record_and_field(self, tmp_path):
+        rows = [{"ID": "a", "Text": "t", "Quadruplets": []},
+                {"ID": " ", "Text": "u", "Quadruplets": []}]
+        with pytest.raises(ParseError, match=r"record 1: field 'ID': blank$"):
+            parse_quadruplet_file(self.write(tmp_path, rows), PAIR)
+
     def test_unreadable_file_names_path(self, tmp_path):
         with pytest.raises(ParseError, match=f"^{re.escape(str(tmp_path))}: cannot read"):
             parse_quadruplet_file(tmp_path, PAIR)
@@ -359,3 +365,17 @@ class TestCheckFields:
             with pytest.raises(KeyError, match=f"{name} must be"):
                 check_fields(probe(**{**dataclasses.asdict(good), name: bad}),
                              KeyError)
+
+    @pytest.mark.parametrize("kinds", [(int | None, "str | None"),
+                                       ("int | None", "str | None")],
+                             ids=["union", "strings"])
+    def test_optional_kind_admits_none_and_checks_the_rest(self, kinds):
+        probe = dataclasses.make_dataclass(
+            "Probe", [("n", kinds[0], dataclasses.field(metadata={"min": 0})),
+                      ("name", kinds[1])])
+        check_fields(probe(n=None, name=None))
+        check_fields(probe(n=3, name="a"))
+        for name, bad, words in (("n", "3", "an int or None"), ("n", -1, ">= 0"),
+                                 ("name", 5, "a str or None")):
+            with pytest.raises(KeyError, match=f"{name} must be {words}"):
+                check_fields(probe(**{"n": 3, "name": "a", name: bad}), KeyError)

@@ -242,6 +242,22 @@ ROWS = {
         ["evaluate", "--pred", "{root}/preds/M1", "--gold", "{root}/low-gold"],
         [f"{{root}}/low-gold/{SYNTH_PAIRS[0]}.json", "record 1", "'VA'",
          "0.5#5.0"]),
+    "evaluate blank gold ID": (
+        ["evaluate", "--pred", "{root}/preds/M1", "--gold", "{root}/blank-id"],
+        [f"{{root}}/blank-id/{SYNTH_PAIRS[0]}.json", "record 1", "'ID'", "blank"]),
+    "ensemble blank gold ID": (
+        ["ensemble", "--dev-preds", "{root}/pool/dev", "--dev-gold", "{root}/blank-id"],
+        [f"{{root}}/blank-id/{SYNTH_PAIRS[0]}.json", "record 1", "'ID'", "blank"]),
+    "train blank instance ID": (
+        ["train", "--data", "{root}/blank-id", "--config", "{root}/one.json"],
+        [f"{{root}}/blank-id/{SYNTH_PAIRS[0]}.json", "record 1", "'ID'", "blank"]),
+    "preprocess blank raw ID": (
+        ["preprocess", "--input", "{root}/blank-id-raw"],
+        [f"{{root}}/blank-id-raw/{SYNTH_PAIRS[0]}.json", "record 1", "'ID'",
+         "blank"]),
+    "train toy encoder with model_name": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/toy-model.json"],
+        ["{root}/toy-model.json", "'encoder'", "model_name", "'bert-base'"]),
     "ensemble test member without a dev member": (
         ["ensemble", "--dev-preds", "{root}/pool/dev", "--test-preds",
          "{root}/pool/test", "--dev-gold", "{root}/insts"],
@@ -316,6 +332,7 @@ def inputs(tmp_path_factory):
     config(root / "huge-rate.json", [{**ENTRY, "learning_rate": 1e12,
                                       "max_epochs": 3, "bounded": False}])
     config(root / "no-model.json", [ENTRY], backend="pretrained-multilingual")
+    config(root / "toy-model.json", [ENTRY], model_name="bert-base")
     config(root / "repeat.json", [ENTRY, {**ENTRY, "seed": 42}])
     config(root / "bounded-str.json", [{**ENTRY, "bounded": "false"}])
     config(root / "layer-str.json", [ENTRY], trainable_layer="false")
@@ -342,7 +359,8 @@ def inputs(tmp_path_factory):
                          ("list-aspect", set_field("Aspect", ["battery"])),
                          ("blank-aspect", set_field("Aspect", " \t")),
                          ("other-pair", set_field("Pair", SYNTH_PAIRS[1])),
-                         ("low-gold", set_field("VA", "0.5#5"))):
+                         ("low-gold", set_field("VA", "0.5#5")),
+                         ("blank-id", set_field("ID", " \t"))):
         rewrite(root / "insts", root / name, change)
     long_aspect = set_field("Aspect", " ".join(["word"] * 200))
     rewrite(root / "insts", root / "long-aspect", long_aspect)
@@ -407,6 +425,7 @@ def inputs(tmp_path_factory):
     rewrite(root / "raw", root / "blank-raw", raw_aspect("  "))
     rewrite(root / "raw", root / "list-raw", raw_aspect(["battery"]))
     rewrite(root / "raw", root / "int-id-raw", set_field("ID", 7))
+    rewrite(root / "raw", root / "blank-id-raw", set_field("ID", "  "))
     return root
 
 

@@ -81,42 +81,54 @@ class TestEarlyStopping:
 
 class TestAdamW:
     def test_zero_learning_rate_is_identity(self, rng):
-        params = {"W": rng.normal(size=(2, 4)), "b": rng.normal(size=2)}
-        before = {k: v.copy() for k, v in params.items()}
+        params = rng.normal(size=(2, 4))
+        before = params.copy()
         opt = AdamW(learning_rate=0.0)
         for _ in range(3):
-            opt.step(params, {"W": rng.normal(size=(2, 4)),
-                              "b": rng.normal(size=2)})
-        for k in params:
-            np.testing.assert_array_equal(params[k], before[k])
+            opt.step(params, rng.normal(size=(2, 4)))
+        np.testing.assert_array_equal(params, before)
 
     def test_step_moves_parameters(self, rng):
-        params = {"W": rng.normal(size=(2, 4))}
-        before = params["W"].copy()
-        AdamW(learning_rate=0.01).step(params, {"W": np.ones((2, 4))})
-        assert np.all(params["W"] != before)
+        params = rng.normal(size=(2, 4))
+        before = params.copy()
+        AdamW(learning_rate=0.01).step(params, np.ones((2, 4)))
+        assert np.all(params != before)
 
-    def test_bias_exempt_from_decay(self):
-        params = {"W": np.array([10.0, -10.0]), "b": np.array([10.0, -10.0])}
-        AdamW(learning_rate=0.1).step(params, {"W": np.zeros(2), "b": np.zeros(2)})
-        # zero gradient: W decays, b is unchanged
-        assert np.all(np.abs(params["W"]) < 10.0)
-        np.testing.assert_array_equal(params["b"], [10.0, -10.0])
+    def test_exempt_elements_skip_decay(self):
+        params = np.array([10.0, -10.0, 10.0, -10.0])
+        AdamW(learning_rate=0.1, decay=np.array([1.0, 1.0, 0.0, 0.0])).step(
+            params, np.zeros(4))
+        # zero gradient: decayed elements shrink, exempt ones (a bias) are unchanged
+        assert np.all(np.abs(params[:2]) < 10.0)
+        np.testing.assert_array_equal(params[2:], [10.0, -10.0])
 
     def test_one_step_equals_update_by_hand(self, rng):
         lr, (beta1, beta2) = 0.05, ADAMW_BETAS
-        params = {"W": rng.normal(size=(2, 4)), "b": rng.normal(size=2)}
-        grads = {"W": rng.normal(size=(2, 4)), "b": rng.normal(size=2)}
-        expected = {}
-        for name, p in params.items():
-            if name == "W":
-                p = p - lr * ADAMW_WEIGHT_DECAY * p
-            m_hat = (1.0 - beta1) * grads[name] / (1.0 - beta1)
-            v_hat = (1.0 - beta2) * (grads[name] * grads[name]) / (1.0 - beta2)
-            expected[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
+        params, grads = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        decayed = params - lr * ADAMW_WEIGHT_DECAY * params
+        m_hat = (1.0 - beta1) * grads / (1.0 - beta1)
+        v_hat = (1.0 - beta2) * (grads * grads) / (1.0 - beta2)
+        expected = decayed - lr * m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
         AdamW(learning_rate=lr).step(params, grads)
-        for name in params:
-            assert params[name].tobytes() == expected[name].tobytes()
+        assert params.tobytes() == expected.tobytes()
+
+    def test_rows_with_own_rates_step_as_separate_optimizers(self, rng):
+        rates = [0.05, 0.01, 0.2]
+        stacked = rng.normal(size=(3, 6))
+        alone = [row.copy() for row in stacked]
+        opt = AdamW(np.array([[r] for r in rates]))
+        singles = [AdamW(r) for r in rates]
+        kept = np.array([True, False, True])
+        for t in range(4):
+            if t == 2:   # a config leaves the stack
+                stacked = stacked[kept]
+                opt.keep(kept)
+                alone, singles = alone[::2], singles[::2]
+            grads = rng.normal(size=stacked.shape)
+            opt.step(stacked, grads)
+            for row, single, g in zip(alone, singles, grads):
+                single.step(row, g)
+        assert [row.tobytes() for row in stacked] == [row.tobytes() for row in alone]
 
 
 class TestTrainLoop:
@@ -250,15 +262,15 @@ SCHEMAS = {
     EncoderSpec: (EncoderSpec, EncodingError,
                   {"backend": None, "template": 1, "max_len": 128.0,
                    "hidden_size": "8", "vocab_size": True, "seed": 0.0,
-                   "trainable_layer": "true"},
+                   "trainable_layer": "true", "model_name": 5},
                   {"backend": "quantum", "template": "gpt", "max_len": 7,
                    "hidden_size": 0, "vocab_size": 3, "seed": -1}),
     Checkpoint: (checkpoint, ValueError,
                  {"id": 1, "best_val_rmse": "abc", "epoch_of_best": 1.0},
                  {"best_val_rmse": -0.5, "epoch_of_best": 0}),
 }
-# Fields without a rule of their own: nested objects, arrays, a free-form name.
-UNCHECKED = {"config", "encoder_spec", "head", "projection", "history", "model_name"}
+# Fields without a rule of their own: nested objects and arrays.
+UNCHECKED = {"config", "encoder_spec", "head", "projection", "history"}
 
 
 class TestFieldSchema:
@@ -289,6 +301,12 @@ class TestFieldSchema:
     def test_epoch_of_best_beyond_max_epochs_rejected(self):
         with pytest.raises(ValueError, match="epoch_of_best must be <= max_epochs 5"):
             checkpoint(epoch_of_best=6)
+
+    def test_model_name_only_on_the_pretrained_backend(self):
+        assert EncoderSpec(backend=encoding.BACKEND_PRETRAINED,
+                           model_name="bert").model_name == "bert"
+        with pytest.raises(EncodingError, match="^model_name must be None off"):
+            EncoderSpec(model_name="bert")
 
 
 class TestGrid:
@@ -357,6 +375,54 @@ class TestGrid:
             assert ((tmp_path / "grid.ckpt").read_bytes()
                     == (tmp_path / "alone.ckpt").read_bytes())
             assert ckpt.history == alone.history
+
+    def test_failure_of_the_first_failing_config_in_grid_order_is_raised(self):
+        # M1 fails at epoch 3; M2, in a later stack, and M3, in M1's, fail
+        # sooner.  Run one after another, the configs would stop at M1, and
+        # without M1 at M2, though M4's stack, where M3 fails, trains first.
+        train_set = make_instances("zho-res", 16, seed=0)
+        val_set = make_instances("zho-res", 4, seed=1)
+        raw = dict(max_epochs=4, bounded=False, dropout_rate=0.0)
+        configs = [config(batch_size=8, learning_rate=1e20, **raw),
+                   config(batch_size=4, learning_rate=1e30, **raw),
+                   config(batch_size=8, learning_rate=1e80, **raw),
+                   config(batch_size=8, learning_rate=0.01, **raw)]
+        with pytest.raises(TrainingError) as alone:
+            train(train_set, val_set, configs[0], SPEC)
+        assert str(alone.value) == "M1: non-finite loss at epoch 3, step 1"
+        with pytest.raises(TrainingError) as caught:
+            train_grid(train_set, val_set, configs, SPEC, ["M1", "M2", "M3", "M4"])
+        assert str(caught.value) == str(alone.value)
+        with pytest.raises(TrainingError, match=r"^M2: non-finite loss at epoch 1, step 3"):
+            train_grid(train_set, val_set, [configs[3], configs[1], configs[2]], SPEC,
+                       ["M4", "M2", "M3"])
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data(), trainable=st.booleans())
+    def test_stacked_grid_equals_runs_one_by_one(self, data, trainable):
+        # Few distinct batch sizes, seeds, dropout rates and head types, so
+        # most grids hold stacks of several configs.
+        entry = st.builds(
+            config, batch_size=st.sampled_from([4, 6]),
+            seed=st.sampled_from([1, 2]), dropout_rate=st.sampled_from([0.0, 0.3]),
+            bounded=st.booleans(), learning_rate=st.sampled_from([0.01, 0.05, 0.3]),
+            max_epochs=st.integers(1, 4), patience=st.integers(1, 3))
+        configs = data.draw(st.lists(entry, min_size=1, max_size=6, unique=True))
+        spec = EncoderSpec(max_len=16, hidden_size=6, trainable_layer=trainable)
+        train_set = make_instances("zho-res", 14, seed=5)
+        val_set = make_instances("zho-res", 4, seed=6)
+        ids = [f"M{i}" for i in range(1, len(configs) + 1)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "m.ckpt")
+            for ckpt, cfg in zip(train_grid(train_set, val_set, configs, spec, ids),
+                                 configs):
+                ckpt.save(path)
+                stacked = path.read_bytes()
+                alone = train(train_set, val_set, cfg, spec, ckpt_id=ckpt.id)
+                alone.save(path)
+                assert stacked == path.read_bytes()
+                assert [np.array(list(h.values())).tobytes() for h in ckpt.history] == \
+                    [np.array(list(h.values())).tobytes() for h in alone.history]
 
     def test_errors_carry_config_id(self):
         train_set = make_instances("zho-res", 8, seed=9)
