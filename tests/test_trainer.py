@@ -213,6 +213,27 @@ class TestTrainLoop:
         assert len(ckpt.history) == 200
         assert ckpt.history[-1]["train_mse"] < 0.10 * initial
 
+    def test_one_epoch_equals_per_tensor_steps_with_bias_exempt(self):
+        # One AdamW per tensor, as W, b and A would be stepped alone:
+        # decoupled weight decay on W and A, none on b.
+        train_set, val_set = self.data()
+        cfg = config(max_epochs=1, dropout_rate=0.0)
+        ckpt = train(train_set, val_set, cfg, SPEC)
+        feats = encoding.instance_features(train_set, SPEC)
+        gold = metrics.va_array([i.gold for i in train_set])
+        head = regressor.init_head(SPEC.hidden_size, cfg.seed, 0.0, cfg.bounded)
+        params = {"W": head.W, "b": head.b, "A": encoding.init_projection(SPEC.hidden_size)}
+        opts = {name: AdamW(cfg.learning_rate, decay=float(name != "b")) for name in params}
+        order = np.random.default_rng(cfg.seed).permutation(len(train_set))
+        for start in range(0, len(train_set), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            _, cache = regressor.forward_cached(feats[idx], head, params["A"], train=True)
+            for name, g in regressor.backward(cache, gold[idx]).items():
+                opts[name].step(params[name], g)
+        got = {"W": ckpt.head.W, "b": ckpt.head.b, "A": ckpt.projection}
+        assert {k: v.tobytes() for k, v in got.items()} == \
+            {k: v.tobytes() for k, v in params.items()}
+
     def test_non_finite_loss_aborts_with_diagnostics(self):
         train_set, val_set = self.data()
         poisoned = train_set[:8] + [Instance(
