@@ -158,17 +158,22 @@ def write_predictions(path: Path, keys: list[tuple[str, str]],
 def _prediction_rows(path: Path) -> tuple[list[tuple[str, str]], list[float]]:
     """A prediction file's keys and its VA values flat as [v0, a0, v1, ...],
     read without numpy; a top level that is not an array, or a record
-    without a string ID and Aspect or a finite "v#a" VA, or with a bad Pair,
-    is a ParseError naming the path, the record and the field."""
+    without a string ID and Aspect or a finite "v#a" VA in ASCII decimals,
+    or with a bad Pair, is a ParseError naming the path, the record and the
+    field."""
     rows = read_json(path)
     if not isinstance(rows, list):
         raise ParseError(f"{path}: not a JSON array")
-    keys, flat, i = [], [], 0
+    keys, vas, flat, i = [], [], [], 0
     try:
         for i, row in enumerate(rows):
             keys.append((row["ID"], row["Aspect"]))
-            valence, _, arousal = row["VA"].partition("#")
+            vas.append(row["VA"])
+            valence, _, arousal = vas[i].partition("#")
             flat += (float(valence), float(arousal))
+        if not corpus.decimal_text("".join(vas)):   # one pass for the file
+            i = next(j for j, va in enumerate(vas) if not corpus.decimal_text(va))
+            raise ValueError
     except KeyError as exc:
         raise record_error(path, i, exc.args[0], "missing") from None
     except TypeError:
@@ -483,7 +488,9 @@ def _load_columns(files: dict[PairID, Path], refs: dict[PairID, metrics.Columns]
     out = {}
     for pair, path in files.items():
         cols = Columns(*load_predictions(path), str(path))
-        ref = refs.setdefault(pair, cols._replace(keys=list(dict.fromkeys(cols.keys))))
+        if pair not in refs:
+            refs[pair] = cols._replace(keys=list(dict.fromkeys(cols.keys)))
+        ref = refs[pair]
         out[pair] = Columns(ref.keys, align_columns(cols, ref), cols.source)
     return out
 

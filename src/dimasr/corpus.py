@@ -11,7 +11,7 @@ Input file format (JSON array or JSONL, one object per record):
      "Quadruplets": [{"Aspect": "battery", "Category": "LAPTOP#GENERAL",
                       "Opinion": "great", "VA": "7.5#6.0"}, ...]}
 
-VA is the string "<valence>#<arousal>"; an object form
+VA is the string "<valence>#<arousal>" in ASCII decimals; an object form
 {"Valence": 7.5, "Arousal": 6.0} is also accepted.  Test-set files use the
 same format with the VA field absent.  Category, Opinion and other keys are
 not read.
@@ -90,8 +90,28 @@ class VAScore:
         return (self.valence, self.arousal)
 
 
+# ASCII decimal syntax, '#' and the letters of inf and nan, which then fail
+# as non-finite.  float() alone would also read '_', whitespace and the
+# digits of other scripts: "5_0#5" as valence 50.
+_DECIMAL_CHARS = b"0123456789+-.eE#infatyINFATY"
+
+
+def decimal_text(text: str) -> bool:
+    """Whether `text`, one "v#a" value or a whole file's joined, holds only
+    characters of ASCII decimal syntax."""
+    return text.isascii() and not text.encode().translate(None, _DECIMAL_CHARS)
+
+
+def _number(value) -> float:
+    """A decimal string or a JSON number (not a bool) as a float."""
+    if isinstance(value, str) and decimal_text(value) or type(value) in (int, float):
+        return float(value)
+    raise ValueError(value)
+
+
 def parse_va(value) -> VAScore:
-    """Decode a VA wire value: "v#a" string or {Valence, Arousal} object.
+    """Decode a VA wire value: "v#a" string or {Valence, Arousal} object,
+    each value in ASCII decimals (or, in an object, a JSON number).
 
     Non-finite values (nan, inf) are rejected: they never compare below
     anything, so they would silently win a minimum search downstream.
@@ -101,13 +121,13 @@ def parse_va(value) -> VAScore:
         if not sep:
             raise ParseError(f"VA string lacks '#' separator: {value!r}")
         try:
-            valence, arousal = float(head), float(tail)
+            valence, arousal = _number(head), _number(tail)
         except ValueError:
             raise ParseError(f"unparseable VA string: {value!r}") from None
     elif isinstance(value, dict):
         try:
-            valence, arousal = float(value["Valence"]), float(value["Arousal"])
-        except (KeyError, TypeError, ValueError):
+            valence, arousal = _number(value["Valence"]), _number(value["Arousal"])
+        except (KeyError, OverflowError, ValueError):
             raise ParseError(f"unparseable VA object: {value!r}") from None
     else:
         raise ParseError(f"unsupported VA value: {value!r}")

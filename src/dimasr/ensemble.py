@@ -24,7 +24,6 @@ from that direct path alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -164,12 +163,11 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list | Columns],
 
     order = sorted(range(len(pool)), key=lambda i: pool.ids[i])
     ids = [pool.ids[i] for i in order]
-    subsets = [subset for k in range(min_size, max_size + 1)
-               for subset in combinations(range(len(ids)), k)]
-    membership = np.zeros((len(subsets), len(ids)))
-    for row, subset in enumerate(subsets):
-        membership[row, list(subset)] = 1.0
+    # Row s - 1 is subset s as a bitmask: bit j set when member j is in it.
+    membership = (np.arange(1, 2 ** len(ids))[:, None] >> np.arange(len(ids))) & 1
     sizes = membership.sum(axis=1)
+    keep = (sizes >= min_size) & (sizes <= max_size)
+    membership, sizes = membership[keep].astype(np.float64), sizes[keep]
     per_pair: dict[PairID, SelectionEntry] = {}
     for pair in pool.pairs:
         if pair not in dev_gold:
@@ -184,8 +182,7 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list | Columns],
         errors = (tensor - gold_arr).reshape(len(ids), -1)
         gram = errors @ errors.T
         n = len(ref.keys)
-        mse = (np.einsum("sm,mk,sk->s", membership, gram, membership)
-               / (n * sizes ** 2))
+        mse = ((membership @ gram) * membership).sum(axis=1) / (n * sizes ** 2)
         # Gram scores round at the scale of the errors, direct averaging at
         # the scale of the values themselves; the tolerance covers both with
         # a wide margin, so the direct-path argmin is always re-scored.
@@ -194,11 +191,11 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list | Columns],
         tol = 1e-9 * worst * (worst + scale)
         gold_rows = gold_arr.tolist()
         best = min(
-            (rmse_va(tensor[list(subsets[i])].mean(axis=0).tolist(), gold_rows),
-             len(subsets[i]), tuple(ids[j] for j in subsets[i]))
-            for i in np.flatnonzero(mse <= mse.min() + tol))
+            (rmse_va(tensor[rows].mean(axis=0).tolist(), gold_rows), len(rows),
+             tuple(ids[j] for j in rows))
+            for rows in map(np.flatnonzero, membership[mse <= mse.min() + tol]))
         per_pair[pair] = SelectionEntry(subset=best[2], dev_rmse=best[0],
-                                        n_scored=len(subsets))
+                                        n_scored=len(membership))
     return EnsembleSelection(per_pair=per_pair, member_ids=pool.ids)
 
 

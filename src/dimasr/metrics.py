@@ -2,13 +2,14 @@
 (ID, Aspect) aligner of prediction columns.
 
 Nothing here imports numpy at module level, so `dimasr evaluate` scores in
-pure Python.  `rmse_va` and the average over pairs sum in numpy's order, so
-they equal the numpy expressions they replace bit for bit.
+pure Python.  `rmse_va` and the average over pairs add with `math.fsum`,
+which rounds the exact sum once: the result does not depend on the order of
+rows or pairs, nor on the numpy version, so the ensemble argmin and every
+report are the same bytes wherever they run.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -70,58 +71,6 @@ def align_columns(columns: Columns, ref: Columns) -> np.ndarray | list:
     return [values[i] for i in index] if isinstance(values, list) else values[index]
 
 
-# numpy's float64 add.reduce: below 8 values a plain running sum, up to 128
-# eight interleaved running sums combined as a tree, above that the two
-# halves (the first a multiple of 8 long) summed apiece and added.
-_PAIRWISE_BLOCK = 128
-_NUMPY_BUFSIZE = 8192   # numpy < 2.3 reduces a vector in blocks this long
-
-
-def _pairwise_sum(xs: list[float], lo: int, n: int) -> float:
-    """numpy's pairwise sum of xs[lo:lo + n], operation for operation."""
-    if n < 8:
-        total = 0.0
-        for x in xs[lo:lo + n]:
-            total += x
-        return total
-    if n <= _PAIRWISE_BLOCK:
-        tail = lo + n - n % 8
-        acc = []
-        for j in range(lo, lo + 8):
-            a = xs[j]
-            for x in xs[j + 8:tail:8]:
-                a += x
-            acc.append(a)
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5])
-                                                           + (acc[6] + acc[7]))
-        for x in xs[tail:lo + n]:
-            total += x
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
-
-
-@functools.cache
-def _numpy_sums_in_blocks() -> bool:
-    """Whether the installed numpy (before 2.3) reduces a vector in
-    `_NUMPY_BUFSIZE` blocks, each summed pairwise, rather than whole."""
-    from importlib.metadata import version
-    return tuple(map(int, version("numpy").split(".")[:2])) < (2, 3)
-
-
-def _mean(xs: list[float]) -> float:
-    """np.mean of non-negative floats, bit for bit (on these, starting a
-    sum at 0.0 or, as some numpy versions do, at -0.0 gives the same)."""
-    n = len(xs)
-    if n <= _NUMPY_BUFSIZE or not _numpy_sums_in_blocks():
-        return _pairwise_sum(xs, 0, n) / n
-    total = 0.0
-    for lo in range(0, n, _NUMPY_BUFSIZE):
-        total += _pairwise_sum(xs, lo, min(_NUMPY_BUFSIZE, n - lo))
-    return total / n
-
-
 def _as_rows(values) -> list:
     """(valence, arousal) rows of an (n, 2) array or of a list of rows or
     VAScores."""
@@ -137,8 +86,10 @@ def rmse_va(preds, golds) -> float:
 
     sqrt( (1/N) * sum_i [ (Vp_i - Vg_i)^2 + (Ap_i - Ag_i)^2 ] ) with N the
     number of instances (the per-instance squared errors of the two
-    dimensions are summed, not averaged).  Equal, bit for bit, to
-    `np.sqrt(np.mean(np.sum(d * d, axis=1)))` with d = preds - golds.
+    dimensions are summed, not averaged).  The sum is exactly rounded
+    (`math.fsum`), so any order of the rows gives the same bits; it agrees
+    with `np.sqrt(np.mean(np.sum(d * d, axis=1)))`, d = preds - golds, to
+    rounding.
     """
     p, g = _as_rows(preds), _as_rows(golds)
     if len(p) != len(g):
@@ -146,8 +97,12 @@ def rmse_va(preds, golds) -> float:
                          f"{len(g)} golds")
     if not p:
         raise ValueError("rmse_va of an empty set is undefined")
-    return math.sqrt(_mean([(dv := pv - gv) * dv + (da := pa - ga) * da
-                            for (pv, pa), (gv, ga) in zip(p, g)]))
+    squares = [(dv := pv - gv) * dv + (da := pa - ga) * da
+               for (pv, pa), (gv, ga) in zip(p, g)]
+    try:
+        return math.sqrt(math.fsum(squares) / len(p))
+    except OverflowError:   # finite squares whose sum passes the float range
+        return math.inf
 
 
 @dataclass
@@ -192,5 +147,5 @@ def evaluate(predictions: dict[PairID, np.ndarray | list],
         n_per_pair[pair] = len(gold[pair])
     if not per_pair:
         raise ValueError("no pairs to evaluate")
-    average = _mean(list(per_pair.values()))
+    average = math.fsum(per_pair.values()) / len(per_pair)
     return EvalReport(per_pair=per_pair, average=average, n_per_pair=n_per_pair)

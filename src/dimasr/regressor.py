@@ -24,17 +24,16 @@ from .corpus import check_fields
 BOUND_LO = 1.0
 BOUND_HI = 9.0
 BOUND_SPAN = 8.0
+_INSIDE_LO = np.nextafter(BOUND_LO, BOUND_HI)   # the bounds one ulp inside
+_INSIDE_HI = np.nextafter(BOUND_HI, BOUND_LO)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (sign-split; no overflow)."""
+    """Numerically stable logistic function: with e = exp(-|z|) <= 1,
+    1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, so nothing overflows."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def bound(y: np.ndarray) -> np.ndarray:
@@ -50,8 +49,7 @@ def bound(y: np.ndarray) -> np.ndarray:
 
 def _scale_sigmoid(s: np.ndarray) -> np.ndarray:
     """bound() from an already computed sigmoid(y): 1 + 8 * s, one ulp inside."""
-    return np.clip(BOUND_LO + BOUND_SPAN * s, np.nextafter(BOUND_LO, BOUND_HI),
-                   np.nextafter(BOUND_HI, BOUND_LO))
+    return np.clip(BOUND_LO + BOUND_SPAN * s, _INSIDE_LO, _INSIDE_HI)
 
 
 @dataclass

@@ -82,6 +82,19 @@ class TestVAWire:
             parse_va("x#y")
 
     @pytest.mark.parametrize("value", [
+        "5_0#5", " 6.5 # \u0665 ", "6.5#\u0665", "\uff15#5", "5#5#5",
+        {"Valence": True, "Arousal": 5.0}, {"Valence": "5_0", "Arousal": 5.0},
+        {"Valence": [5.0], "Arousal": 5.0}, {"Valence": 10**400, "Arousal": 5.0},
+    ])
+    def test_only_ascii_decimals_and_json_numbers(self, value):
+        with pytest.raises(ParseError, match="unparseable VA"):
+            parse_va(value)
+
+    def test_signs_exponents_and_json_numbers_accepted(self):
+        assert parse_va("+7.5e0#-0.5") == VAScore(7.5, -0.5)
+        assert parse_va({"Valence": 7, "Arousal": "6.5"}) == VAScore(7.0, 6.5)
+
+    @pytest.mark.parametrize("value", [
         "nan#5.0", "5.0#inf", "-inf#5.0", "NaN#NaN",
         {"Valence": float("nan"), "Arousal": 5.0},
         {"Valence": 5.0, "Arousal": "inf"},

@@ -235,9 +235,11 @@ def brute_force_best(members, gold, pair, min_size, max_size):
                 golds.append(g.as_tuple())
             # Squares as products: `x ** 2` goes through libm pow, which may
             # miss the correctly rounded square by an ulp and so reorder
-            # subsets whose averages differ from each other by an ulp.
-            total = sum((pv - gv) * (pv - gv) + (pa - ga) * (pa - ga)
-                        for (pv, pa), (gv, ga) in zip(preds, golds))
+            # subsets whose averages differ from each other by an ulp.  The
+            # sum is exactly rounded, as rmse_va's is: another order of
+            # addition reorders such subsets too.
+            total = math.fsum((pv - gv) * (pv - gv) + (pa - ga) * (pa - ga)
+                              for (pv, pa), (gv, ga) in zip(preds, golds))
             score = math.sqrt(total / len(golds))
             ids = tuple(m.id for m in subset)
             cand = (score, len(ids), ids)
@@ -354,6 +356,22 @@ class TestSearch:
         b = search(CandidatePool(shuffled), gold)
         assert {p: e.subset for p, e in a.per_pair.items()} == \
                {p: e.subset for p, e in b.per_pair.items()}
+
+    def test_dev_instance_order_leaves_every_entry(self):
+        sets = gold_fixture(n_dev=300)
+        members = [noisy_member(f"M{i + 1}", sets, 0.8, seed=10 + i) for i in range(6)]
+        gold = {p: dev for p, (dev, _) in sets.items()}
+        expected = search(CandidatePool(members), gold, min_size=1).per_pair
+        for seed in range(10):
+            rng = random.Random(seed)
+
+            def shuffled(items):
+                return rng.sample(items, len(items))
+            moved = [Member(id=m.id, dev={p: shuffled(v) for p, v in m.dev.items()})
+                     for m in members]
+            selection = search(CandidatePool(moved),
+                               {p: shuffled(v) for p, v in gold.items()}, min_size=1)
+            assert selection.per_pair == expected, seed
 
     def test_min_size_larger_than_pool_rejected(self):
         pool, gold = make_pool(3)

@@ -258,6 +258,23 @@ ROWS = {
     "train toy encoder with model_name": (
         ["train", "--data", "{root}/insts", "--config", "{root}/toy-model.json"],
         ["{root}/toy-model.json", "'encoder'", "model_name", "'bert-base'"]),
+    "preprocess raw VA Valence true": (
+        ["preprocess", "--input", "{root}/true-va-raw"],
+        [f"{{root}}/true-va-raw/{SYNTH_PAIRS[0]}.json", "record 1", "'VA'",
+         "'Valence': True"]),
+    "evaluate gold VA with spaces and Arabic-Indic digits": (
+        ["evaluate", "--pred", "{root}/preds/M1", "--gold", "{root}/spaced-gold"],
+        [f"{{root}}/spaced-gold/{SYNTH_PAIRS[0]}.json", "record 1", "'VA'",
+         "' 6.5 # \u0665 '"]),
+    "ensemble member VA 5_0#5": (
+        ["ensemble", "--dev-preds", "{root}/underscore-pool", "--dev-gold",
+         "{root}/insts"],
+        [f"{{root}}/underscore-pool/M1/{SYNTH_PAIRS[0]}.json", "record 1", "'VA'",
+         "'5_0#5'"]),
+    "submit prediction VA 5_0#5": (
+        ["submit", "--pred", "{root}/underscore-pool/M1"],
+        [f"{{root}}/underscore-pool/M1/{SYNTH_PAIRS[0]}.json", "record 1", "'VA'",
+         "'5_0#5'"]),
     "ensemble test member without a dev member": (
         ["ensemble", "--dev-preds", "{root}/pool/dev", "--test-preds",
          "{root}/pool/test", "--dev-gold", "{root}/insts"],
@@ -360,6 +377,7 @@ def inputs(tmp_path_factory):
                          ("blank-aspect", set_field("Aspect", " \t")),
                          ("other-pair", set_field("Pair", SYNTH_PAIRS[1])),
                          ("low-gold", set_field("VA", "0.5#5")),
+                         ("spaced-gold", set_field("VA", " 6.5 # \u0665 ")),
                          ("blank-id", set_field("ID", " \t"))):
         rewrite(root / "insts", root / name, change)
     long_aspect = set_field("Aspect", " ".join(["word"] * 200))
@@ -373,6 +391,8 @@ def inputs(tmp_path_factory):
         rewrite(root / "preds/M1", root / "empty-preds" / member, lambda rows: [])
     for member in ("dev/M1", "dev/M2", "test/M1", "test/M2", "test/M99"):
         shutil.copytree(root / "preds/M1", root / "pool" / member)
+    rewrite(root / "preds/M1", root / "underscore-pool/M1", set_field("VA", "5_0#5"))
+    shutil.copytree(root / "preds/M1", root / "underscore-pool/M2")
     rewrite(root / "insts", root / "no-va",
             lambda rows: [{k: v for k, v in r.items() if k != "VA"} for r in rows])
     rewrite(root / "insts", root / "one-record",
@@ -417,13 +437,15 @@ def inputs(tmp_path_factory):
     shutil.copytree(root / "ckpts", root / "ckpt-copied")
     shutil.copy(root / "ckpt-copied/M1.ckpt", root / "ckpt-copied/M2.ckpt")
 
-    def raw_aspect(value):
+    def raw_quad(key, value):
         def change(rows):
-            rows[1]["Quadruplets"][0]["Aspect"] = value
+            rows[1]["Quadruplets"][0][key] = value
             return rows
         return change
-    rewrite(root / "raw", root / "blank-raw", raw_aspect("  "))
-    rewrite(root / "raw", root / "list-raw", raw_aspect(["battery"]))
+    rewrite(root / "raw", root / "blank-raw", raw_quad("Aspect", "  "))
+    rewrite(root / "raw", root / "list-raw", raw_quad("Aspect", ["battery"]))
+    rewrite(root / "raw", root / "true-va-raw",
+            raw_quad("VA", {"Valence": True, "Arousal": 5.0}))
     rewrite(root / "raw", root / "int-id-raw", set_field("ID", 7))
     rewrite(root / "raw", root / "blank-id-raw", set_field("ID", "  "))
     return root

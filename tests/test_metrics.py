@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimasr import metrics
 from dimasr.corpus import PairID, ParseError, VAScore
 from dimasr.metrics import Columns, EvalReport, align_columns, evaluate, rmse_va
 from synth import make_instances
@@ -52,8 +51,12 @@ class TestRmseVA:
         p = rng.uniform(1, 9, size=(40, 2))
         g = rng.uniform(1, 9, size=(40, 2))
         perm = rng.permutation(40)
-        np.testing.assert_allclose(rmse_va(p, g), rmse_va(p[perm], g[perm]),
-                                   atol=1e-12)
+        assert rmse_va(p, g) == rmse_va(p[perm], g[perm])
+
+    def test_sum_past_the_float_range_is_inf(self):
+        # Each square is finite (1.44e308); their sum is not.  The trainer
+        # stops a run on a non-finite validation RMSE.
+        assert rmse_va([(1.2e154, 5.0)] * 2, [(0.0, 5.0)] * 2) == math.inf
 
     def test_accepts_vascore_objects(self):
         p = [VAScore(6.0, 5.0)]
@@ -69,61 +72,54 @@ class TestRmseVA:
             rmse_va([], [])
 
 
-# Boundaries of numpy's summation: a plain sum below 8 values, eight
-# accumulators up to 128, halves above that, 8,192-value blocks on numpy < 2.3.
+# Row counts around the block sizes numpy's pairwise summation switches at
+# (8 accumulators, 128-value blocks, 8,192-value buffers on numpy < 2.3).
 SUM_SIZES = st.one_of(st.integers(1, 10_500), st.sampled_from(
     [1, 7, 8, 9, 15, 16, 127, 128, 129, 136, 255, 256, 8191, 8192, 8193, 10_000]))
 
 
-def numpy_rmse(p: np.ndarray, g: np.ndarray) -> float:
-    d = p - g
-    return float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
-
-
-class TestNumpyOrder:
-    """rmse_va and the pair average add in numpy's order, so they equal the
-    numpy expressions they replace bit for bit."""
+class TestExactSum:
+    """rmse_va and the pair average add with math.fsum: exactly rounded, so
+    the same bits for any order of rows or pairs and on any numpy."""
 
     @settings(max_examples=150, deadline=None)
     @given(n=SUM_SIZES, seed=st.integers(0, 2**32 - 1),
            scale=st.sampled_from([1e-8, 1.0, 1e8]))
-    def test_rmse_equals_numpy(self, n, seed, scale):
+    def test_rmse_equals_fsum_oracle(self, n, seed, scale):
         rng = np.random.default_rng(seed)
-        p = rng.uniform(1, 9, (n, 2)) * scale
+        p = (rng.uniform(1, 9, (n, 2)) * scale).tolist()
+        g = rng.uniform(1, 9, (n, 2)).tolist()
+        squares = [(pv - gv) * (pv - gv) + (pa - ga) * (pa - ga)
+                   for (pv, pa), (gv, ga) in zip(p, g)]
+        assert rmse_va(p, g) == math.sqrt(math.fsum(squares) / n)
+
+    @pytest.mark.parametrize("n", [1, 129, 8193, 10_000, 20_000])
+    def test_agrees_with_numpy(self, n):
+        rng = np.random.default_rng(n)
         g = rng.uniform(1, 9, (n, 2))
-        assert rmse_va(p.tolist(), g.tolist()) == numpy_rmse(p, g)
+        for scale in (1e-8, 1.0, 1e8):
+            p = rng.uniform(1, 9, (n, 2)) * scale
+            d = p - g
+            expected = float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
+            assert rmse_va(p, g) == pytest.approx(expected, rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
-    @given(values=st.lists(st.floats(0, 1e6), min_size=1, max_size=300))
-    def test_pair_average_equals_numpy_mean(self, values):
-        pairs = [PairID.parse(f"p{i}-dom") for i in range(len(values))]
-        gold = {pair: [(5.0, 5.0)] for pair in pairs}
-        preds = {pair: [(5.0 + v, 5.0)] for pair, v in zip(pairs, values)}
+    @given(n_pairs=st.integers(1, 12), n=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_order_of_rows_and_pairs_leaves_every_bit(self, n_pairs, n, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [PairID.parse(f"p{i:02d}-dom") for i in range(n_pairs)]
+        preds = {pair: rng.uniform(1, 9, (n, 2)) for pair in pairs}
+        gold = {pair: rng.uniform(1, 9, (n, 2)) for pair in pairs}
+        rows = rng.permutation(n)
+        shuffled = evaluate({p: v[rows] for p, v in preds.items()},
+                            {p: v[rows] for p, v in gold.items()})
         report = evaluate(preds, gold)
-        assert report.average == float(np.mean(list(report.per_pair.values())))
-
-    @pytest.mark.parametrize("n", [8191, 8192, 8193, 10_000, 20_000])
-    def test_rmse_equals_numpy_across_blocks(self, n):
-        # Past 8,192 rows the numpy before 2.3 sums in blocks: on that numpy
-        # this is the check that `_mean`'s block branch matches it.
-        rng = np.random.default_rng(n)
-        p, g = rng.uniform(1, 9, (n, 2)), rng.uniform(1, 9, (n, 2))
-        assert rmse_va(p.tolist(), g.tolist()) == numpy_rmse(p, g)
-
-    @pytest.mark.parametrize("n", [8193, 10_000, 20_000])
-    def test_block_order_of_older_numpy(self, monkeypatch, n):
-        # The block branch as modelled (whole blocks of 8,192 added, each
-        # summed as numpy sums a vector of that length), run on any numpy;
-        # whether the model is numpy < 2.3 only that numpy can tell, above.
-        monkeypatch.setattr(metrics, "_numpy_sums_in_blocks", lambda: True)
-        rng = np.random.default_rng(n)
-        p, g = rng.uniform(1, 9, (n, 2)), rng.uniform(1, 9, (n, 2))
-        d = p - g
-        rows = np.sum(d * d, axis=1)
-        total = 0.0
-        for lo in range(0, n, 8192):
-            total += float(np.add.reduce(rows[lo:lo + 8192]))
-        assert rmse_va(p.tolist(), g.tolist()) == float(np.sqrt(total / n))
+        assert shuffled.per_pair == report.per_pair
+        relabel = dict(zip(pairs, [pairs[i] for i in rng.permutation(n_pairs)]))
+        moved = evaluate({relabel[p]: v for p, v in preds.items()},
+                         {relabel[p]: v for p, v in gold.items()})
+        assert moved.average == report.average
 
 
 def columns_for(instances, offset=0.0, source="pred.json"):
