@@ -8,7 +8,9 @@ those hashes, never from wall-clock time.
 
 Only corpus is imported at module level: the numpy-backed layers (encoding,
 trainer, ensemble) and metrics are imported by the stages that run them, so
-preprocess, evaluate and submit start without loading numpy.  Run as the
+preprocess, evaluate and submit start without loading numpy, and none of
+them loads `dataclasses` or `logging`: corpus records are NamedTuples and
+progress lines go to stderr through `dimasr.log`.  Run as the
 `dimasr` command or `python -m dimasr.cli` (both `run`), a stage that returns
 flushes stdout and stderr and leaves with `os._exit`, skipping interpreter
 teardown; an uncaught exception takes the normal path.
@@ -19,15 +21,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import math
 import os
 import sys
-from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__, corpus
+from . import __version__, corpus, log
 from .corpus import (REGIMES, Instance, PairID, ParseError, build, format_va,
                      pair_sort_key, parse_va, read_json, record_error)
 
@@ -39,7 +39,7 @@ if TYPE_CHECKING:
 # Stages multiply small arrays: an OpenBLAS thread pool costs start-up, saves nothing.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # Named, not __name__: run with -m, the module is __main__.
-logger = logging.getLogger("dimasr.cli")
+LOG_NAME = "dimasr.cli"
 
 MANIFEST_NAME = "manifest.json"
 
@@ -85,7 +85,7 @@ def instance_rows(instances: list[Instance]) -> list[dict]:
         row = {"ID": inst.id, "Text": inst.text, "Aspect": inst.aspect,
                "Pair": str(inst.pair)}
         if inst.gold is not None:
-            row["VA"] = format_va(*inst.gold.as_tuple())
+            row["VA"] = format_va(*inst.gold)
         rows.append(row)
     return rows
 
@@ -339,6 +339,8 @@ def load_run_config(path: str | None, seed: int | None, regime: str
     a value that EncoderSpec or TrainConfig rejects, or two grid entries
     that resolve to one config raise ParseError.
     """
+    from dataclasses import MISSING, fields
+
     from . import encoding, trainer
     known = frozenset(f.name for f in fields(trainer.TrainConfig)) - {"regime"}
     required = [f.name for f in fields(trainer.TrainConfig) if f.default is MISSING]
@@ -381,16 +383,16 @@ def cmd_preprocess(args) -> int:
     for pair, records in parsed.items():
         instances, report = corpus.preprocess(records)
         if not instances:
-            logger.warning("%s: no instances survive preprocessing (%s)",
-                           files[pair].name, report.as_dict())
+            log(LOG_NAME, f"{files[pair].name}: no instances survive "
+                          f"preprocessing ({report.as_dict()})", "WARNING")
         write_json(stage.output(f"{pair}.json"), instance_rows(instances))
         per_pair[str(pair)] = report.as_dict()
         total = total.merged(report)
     report_path = stage.output("report.json")
     write_json(report_path, {"pairs": per_pair, "total": total.as_dict()})
     stage.finish({"pairs": args.pairs})
-    logger.info("preprocess: %d files, %d instances out, report at %s",
-                len(files), total.instances_out, report_path)
+    log(LOG_NAME, f"preprocess: {len(files)} files, {total.instances_out} "
+                  f"instances out, report at {report_path}")
     return 0
 
 
@@ -433,7 +435,7 @@ def cmd_train(args) -> int:
     stage.finish({"regime": args.regime, "seed": args.seed,
                   "grid": [c.to_dict() for c in grid], "encoder": spec.to_dict(),
                   "validation_fraction": fraction})
-    logger.info("train: wrote %d checkpoints to %s", len(checkpoints), stage.out)
+    log(LOG_NAME, f"train: wrote {len(checkpoints)} checkpoints to {stage.out}")
     return 0
 
 
@@ -472,8 +474,8 @@ def cmd_predict(args) -> int:
             write_predictions(stage.output(f"{ckpt.id}/{pair}.json"), keys,
                               ckpt.predict(features[pair, ckpt.encoder_spec]).tolist())
     stage.finish({"pairs": args.pairs})
-    logger.info("predict: %d checkpoints x %d pairs -> %s",
-                len(ckpt_files), len(per_pair), stage.out)
+    log(LOG_NAME, f"predict: {len(ckpt_files)} checkpoints x {len(per_pair)} "
+                  f"pairs -> {stage.out}")
     return 0
 
 
@@ -532,6 +534,10 @@ def cmd_evaluate(args) -> int:
     preds = {pair: metrics.align_columns(_load_rows(f), gold[pair])
              for pair, f in pred_files.items()}
     report = metrics.evaluate(preds, {p: g.values for p, g in gold.items()})
+    for pair, rmse in report.per_pair.items():   # the report must be valid JSON
+        if not math.isfinite(rmse):
+            raise ParseError(f"{pred_files[pair]}: pair {pair}: rmse_va overflows: "
+                             f"a squared error passes the float range")
 
     write_json(stage.output("report.json"), report.as_dict())
     stage.output("report.txt").write_text(report.render_table() + "\n",
@@ -612,8 +618,8 @@ def write_submission(path: Path, keys: list[tuple[str, str]], values,
             cv, ca = min(max(v, lo), hi), min(max(a, lo), hi)
             if (cv, ca) != (v, a):
                 n_clamped += 1
-                logger.info("clamped %s/%s: %s -> %s", rid, aspect,
-                            format_va(v, a), format_va(cv, ca))
+                log(LOG_NAME, f"clamped {rid}/{aspect}: {format_va(v, a)} -> "
+                              f"{format_va(cv, ca)}")
                 v, a = cv, ca
         rows.append({"ID": rid, "Aspect": aspect, "VA": format_va(v, a, precision)})
     write_json(path, rows)
@@ -633,8 +639,7 @@ def cmd_submit(args) -> int:
                                           clamp=args.clamp, precision=args.precision)
     stage.finish({"clamp": args.clamp, "precision": args.precision,
                   "pairs": args.pairs})
-    logger.info("submit: wrote %d files (%d values clamped)",
-                len(files), total_clamped)
+    log(LOG_NAME, f"submit: wrote {len(files)} files ({total_clamped} values clamped)")
     return 0
 
 
@@ -707,8 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     if (args.command == "ensemble" and args.max_size is not None
             and args.max_size < args.min_size):

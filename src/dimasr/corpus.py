@@ -31,8 +31,8 @@ import math
 import random
 import sys
 import types
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 VA_MIN = 1.0
 VA_MAX = 9.0
@@ -49,8 +49,7 @@ class ParseError(ValueError):
     """Raised when an input file or one of its records cannot be decoded."""
 
 
-@dataclass(frozen=True, order=True)
-class PairID:
+class PairID(NamedTuple):
     """A language-domain pair such as zho-res, canonically "<lang>-<dom>"."""
 
     language: str
@@ -75,8 +74,7 @@ def pair_sort_key(pair: PairID) -> tuple:
     return (1, name)
 
 
-@dataclass(frozen=True)
-class VAScore:
+class VAScore(NamedTuple):
     """A (valence, arousal) pair on the 1-9 scale."""
 
     valence: float
@@ -85,9 +83,6 @@ class VAScore:
     def in_range(self) -> bool:
         # nan and infinities fail the comparisons with finite bounds
         return VA_MIN <= self.valence <= VA_MAX and VA_MIN <= self.arousal <= VA_MAX
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.valence, self.arousal)
 
 
 # ASCII decimal syntax, '#' and the letters of inf and nan, which then fail
@@ -147,22 +142,19 @@ def format_va(valence: float, arousal: float, precision: int | None = None) -> s
     return f"{valence:.{precision}f}#{arousal:.{precision}f}"
 
 
-@dataclass(frozen=True)
-class Quadruplet:
+class Quadruplet(NamedTuple):
     aspect: str | None
     va: VAScore | None
 
 
-@dataclass
-class RawRecord:
+class RawRecord(NamedTuple):
     id: str
     text: str
     quadruplets: list[Quadruplet]
     pair: PairID
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """One flattened (text, aspect, VA) sample tagged with its pair."""
 
     id: str
@@ -176,8 +168,7 @@ class Instance:
         return (self.id, self.aspect)
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """A predicted VA score keyed by (record id, aspect) for alignment."""
 
     id: str
@@ -189,8 +180,7 @@ class Prediction:
         return (self.id, self.aspect)
 
 
-@dataclass
-class PreprocessReport:
+class PreprocessReport(NamedTuple):
     """Per-rule drop counts; reconciles exactly with the emitted instances."""
 
     records_in: int = 0
@@ -207,13 +197,10 @@ class PreprocessReport:
         return self.quadruplets_in == dropped + self.instances_out
 
     def as_dict(self) -> dict:
-        return dict(self.__dict__)
+        return self._asdict()
 
     def merged(self, other: "PreprocessReport") -> "PreprocessReport":
-        out = PreprocessReport()
-        for k in out.__dict__:
-            setattr(out, k, getattr(self, k) + getattr(other, k))
-        return out
+        return PreprocessReport(*(a + b for a, b in zip(self, other)))
 
 
 def read_text(path) -> str:
@@ -266,6 +253,7 @@ def check_fields(obj, error=ValueError) -> None:
     for float, a finite int or float, stored back as a float; None where the
     annotation admits it.  `metadata` may bound a field by `min`, `below`
     (with `min`), `gt` or `choices`.  The first failure raises `error`."""
+    from dataclasses import fields   # only the stages with dataclass schemas load it
     for f in fields(obj):
         kind, optional = _field_kind(f.type)
         value, rules, must = getattr(obj, f.name), f.metadata, f"{f.name} must be"
@@ -357,31 +345,27 @@ def preprocess(records: list[RawRecord]) -> tuple[list[Instance], PreprocessRepo
     Anomalies never raise; every dropped quadruplet is counted in the report
     and quadruplets_in == drops + instances_out holds exactly.
     """
-    report = PreprocessReport(records_in=len(records))
     instances: list[Instance] = []
+    quadruplets_in = null_aspect = out_of_range = duplicate = expanded = 0
     for rec in records:
-        report.quadruplets_in += len(rec.quadruplets)
+        quadruplets_in += len(rec.quadruplets)
         emitted_aspects: set[str] = set()
-        n_emitted = 0
         for quad in rec.quadruplets:
             if quad.aspect is None or quad.aspect == NULL_ASPECT:
-                report.null_aspect_drops += 1
+                null_aspect += 1
                 continue
             if quad.va is not None and not quad.va.in_range():
-                report.out_of_range_drops += 1
+                out_of_range += 1
                 continue
             if quad.aspect in emitted_aspects:
-                report.duplicate_aspect_drops += 1
+                duplicate += 1
                 continue
             emitted_aspects.add(quad.aspect)
-            instances.append(Instance(
-                id=rec.id, text=rec.text, aspect=quad.aspect,
-                gold=quad.va, pair=rec.pair,
-            ))
-            n_emitted += 1
-        if n_emitted >= 2:
-            report.expanded_records += 1
-    report.instances_out = len(instances)
+            instances.append(Instance(rec.id, rec.text, quad.aspect, quad.va, rec.pair))
+        if len(emitted_aspects) >= 2:
+            expanded += 1
+    report = PreprocessReport(len(records), quadruplets_in, null_aspect, out_of_range,
+                              duplicate, expanded, len(instances))
     return instances, report
 
 

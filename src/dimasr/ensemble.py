@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import PairID, pair_sort_key
+from .corpus import PairID, ParseError, pair_sort_key
 from .metrics import Columns, Prediction, align_columns, rmse_va, va_array
 
 MAX_POOL_SIZE = 12   # exhaustive search; beyond this the enumeration explodes
@@ -63,7 +63,8 @@ class CandidatePool:
     reference key list: `dev_gold`'s on dev when given, else the first
     member's.  Members are aligned to it up front, so a file with a
     duplicate, missing or extra key fails here, naming the file.  A test
-    pair is held only when every member has it.  The members are not kept.
+    pair is held only when every member has it.  The members are not kept,
+    only the names of their dev sources, which `search` errors give.
     """
 
     def __init__(self, members: list[Member],
@@ -83,6 +84,7 @@ class CandidatePool:
         self.pairs = sorted(pairs, key=pair_sort_key)
         self.reference: dict[str, dict[PairID, Columns]] = {"dev": {}, "test": {}}
         self.tensors: dict[str, dict[PairID, np.ndarray]] = {"dev": {}, "test": {}}
+        self.dev_sources: dict[PairID, list[str]] = {}
         for split in self.tensors:
             for pair in self.pairs:
                 if not all(pair in getattr(m, split) for m in members):
@@ -98,6 +100,8 @@ class CandidatePool:
                 self.reference[split][pair] = ref
                 self.tensors[split][pair] = np.stack(
                     [align_columns(f, ref) for f in files])
+                if split == "dev":
+                    self.dev_sources[pair] = [f.source for f in files]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -144,6 +148,9 @@ class EnsembleSelection:
             for row in rows)
 
 
+# Overflow shows as non-finite Gram scores, which raise naming the member;
+# numpy's own warnings would say less.
+@np.errstate(over="ignore", invalid="ignore")
 def search(pool: CandidatePool, dev_gold: dict[PairID, list | Columns],
            min_size: int = 2, max_size: int | None = None) -> EnsembleSelection:
     """Exhaustively score every subset per pair and keep the dev-RMSE minimizer.
@@ -151,7 +158,8 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list | Columns],
     dev_gold maps each pair to gold columns or gold-carrying items
     (Instances or Predictions), aligned to the pool's dev keys by
     (id, aspect).  Deterministic: minimization breaks ties by subset size,
-    then by the sorted id tuple.
+    then by the sorted id tuple.  Errors so large that a subset's score
+    overflows raise a ParseError naming the member with the largest.
     """
     if max_size is None:
         max_size = len(pool)
@@ -183,6 +191,10 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list | Columns],
         gram = errors @ errors.T
         n = len(ref.keys)
         mse = ((membership @ gram) * membership).sum(axis=1) / (n * sizes ** 2)
+        if not np.isfinite(mse).all():   # inf, or inf * 0 = nan: no argmin
+            worst = order[int(np.argmax(gram.diagonal()))]
+            raise ParseError(f"{pool.dev_sources[pair][worst]}: pair {pair}: "
+                             f"squared dev error passes the float range")
         # Gram scores round at the scale of the errors, direct averaging at
         # the scale of the values themselves; the tolerance covers both with
         # a wide margin, so the direct-path argmin is always re-scored.

@@ -11,23 +11,21 @@ report are the same bytes wherever they run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .corpus import PairID, ParseError, Prediction, VAScore, pair_sort_key  # noqa: F401
+from .corpus import PairID, ParseError, Prediction, pair_sort_key  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
 
 
 def va_array(values) -> np.ndarray:
-    """Coerce VAScore lists / tuple lists / arrays to an (n, 2) float array."""
+    """Coerce lists of VAScores or other rows, or arrays, to an (n, 2) float array."""
     import numpy as np
     if isinstance(values, np.ndarray):
         arr = values.astype(np.float64)
     else:
-        arr = np.array([v.as_tuple() if isinstance(v, VAScore) else tuple(v)
-                        for v in values], dtype=np.float64)
+        arr = np.array([tuple(v) for v in values], dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 2) if arr.size else arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -72,13 +70,9 @@ def align_columns(columns: Columns, ref: Columns) -> np.ndarray | list:
 
 
 def _as_rows(values) -> list:
-    """(valence, arousal) rows of an (n, 2) array or of a list of rows or
-    VAScores."""
-    if hasattr(values, "tolist"):
-        return values.tolist()
-    if values and isinstance(values[0], VAScore):
-        return [v.as_tuple() for v in values]
-    return values
+    """(valence, arousal) rows of an (n, 2) array or of a list of rows, such
+    as VAScores."""
+    return values.tolist() if hasattr(values, "tolist") else values
 
 
 def rmse_va(preds, golds) -> float:
@@ -105,8 +99,7 @@ def rmse_va(preds, golds) -> float:
         return math.inf
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     per_pair: dict[PairID, float]
     average: float
     n_per_pair: dict[PairID, int]

@@ -10,17 +10,14 @@ produce byte-identical checkpoints.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
 import numpy as np
 
-from . import encoding, metrics, regressor
+from . import encoding, log, metrics, regressor
 from .corpus import REGIMES, Instance, ParseError, build, check_fields
 from .encoding import EncoderSpec
-
-logger = logging.getLogger(__name__)
 
 # AdamW constants; unstated by the protocol, fixed here and recorded in every
 # checkpoint header as OPTIMIZER, which `load` requires.
@@ -338,14 +335,14 @@ def _train_stack(encoded: tuple[Encoded, Encoded | None],
                 continue
             history[c].append({"epoch": epoch, "train_mse": train_mse[row],
                                "val_rmse": val[row]})
-            logger.info("%s epoch %d  train_mse %.6f  val_rmse %.6f",
-                        ids[c], epoch, train_mse[row], val[row])
+            log(__name__, f"{ids[c]} epoch {epoch}  train_mse {train_mse[row]:.6f}  "
+                          f"val_rmse {val[row]:.6f}")
             stopper = stoppers[c]
             if stopper.update(val[row], epoch):
                 best[c] = buf[row].copy()
             if stopper.should_stop:
-                logger.info("%s early stop after epoch %d (best epoch %d)",
-                            ids[c], epoch, stopper.best_epoch)
+                log(__name__, f"{ids[c]} early stop after epoch {epoch} "
+                              f"(best epoch {stopper.best_epoch})")
             if stopper.should_stop or epoch == configs[c].max_epochs:
                 W, b, A = _unflatten(best[c], d, trainable)
                 results[c] = Checkpoint(

@@ -972,23 +972,29 @@ class TestManifests:
 
 
 class TestStageImports:
-    """preprocess, submit and evaluate never touch an array, so they run
-    without loading numpy; train imports the layers it needs when it runs,
-    and not numpy.ma."""
+    """preprocess, submit and evaluate never touch an array, a dataclass or
+    a logger, so they run without loading numpy, dataclasses (and with it
+    inspect) or logging; train imports the layers it needs when it runs,
+    and not numpy.ma.  Modules count only when the stage added them, so a
+    site hook that imports one of them at start-up changes nothing."""
 
     SCRIPT = """
 import json, sys
+before = set(sys.modules)
 from dimasr import cli
+START_UP = ("numpy", "logging", "dataclasses", "inspect")
+def added():
+    return [name for name in START_UP if name in sys.modules and name not in before]
 raw, preds, config, work = sys.argv[1:]
-loaded = {"import": "numpy" in sys.modules}
+loaded = {"import": added()}
 codes = {"preprocess": cli.main(["preprocess", "--input", raw,
                                  "--out", work + "/insts"])}
-loaded["preprocess"] = "numpy" in sys.modules
+loaded["preprocess"] = added()
 codes["submit"] = cli.main(["submit", "--pred", preds, "--out", work + "/sub"])
-loaded["submit"] = "numpy" in sys.modules
+loaded["submit"] = added()
 codes["evaluate"] = cli.main(["evaluate", "--pred", preds, "--gold", preds,
                               "--out", work + "/eval"])
-loaded["evaluate"] = "numpy" in sys.modules
+loaded["evaluate"] = added()
 codes["train"] = cli.main(["train", "--data", work + "/insts",
                            "--out", work + "/ckpts", "--config", config])
 loaded["train"] = "numpy" in sys.modules
@@ -1015,10 +1021,56 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["codes"] == {"preprocess": 0, "submit": 0, "evaluate": 0,
                                    "train": 0}
-        assert result["loaded"] == {"import": False, "preprocess": False,
-                                    "submit": False, "evaluate": False,
+        assert result["loaded"] == {"import": [], "preprocess": [],
+                                    "submit": [], "evaluate": [],
                                     "train": True, "train numpy.ma": False}
         assert sorted(p.name for p in (work / "ckpts").glob("*.ckpt")) == ["M1.ckpt"]
+
+
+class TestStderrLines:
+    """A stage's progress lines are `LEVEL name: message`, one per line,
+    as a user's scripts may read them."""
+
+    def stderr(self, argv: list[str]) -> list[str]:
+        proc = subprocess.run([sys.executable, "-m", "dimasr.cli", *argv],
+                              env=python_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr.splitlines()
+
+    def test_submit_clamp_lines_and_summary(self, tmp_path):
+        pred_dir = tmp_path / "p"
+        pred_dir.mkdir()
+        (pred_dir / "zzz-res.json").write_text(json.dumps(
+            [{"ID": "r0", "Aspect": "x", "VA": "11.5#0.25"},
+             {"ID": "r1", "Aspect": "x", "VA": "5.0#4.0"},
+             {"ID": "r2", "Aspect": "y z", "VA": "0.5#5"}]), encoding="utf-8")
+        assert self.stderr(["submit", "--pred", str(pred_dir),
+                            "--out", str(tmp_path / "sub")]) == [
+            "INFO dimasr.cli: clamped r0/x: 11.5#0.25 -> 9.0#1.0",
+            "INFO dimasr.cli: clamped r2/y z: 0.5#5.0 -> 1.0#5.0",
+            "INFO dimasr.cli: submit: wrote 1 files (2 values clamped)",
+        ]
+
+    def test_preprocess_warns_when_no_instance_survives(self, tmp_path):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        quad = {"Aspect": "NULL", "Category": "X#Y", "Opinion": "o", "VA": "5#5"}
+        (raw / "aaa-res.json").write_text(json.dumps(
+            [{"ID": "r0", "Text": "t", "Quadruplets": [quad]}]), encoding="utf-8")
+        (raw / "bbb-res.json").write_text(json.dumps(
+            [{"ID": "r0", "Text": "t", "Quadruplets": [{**quad, "Aspect": "x"}]}]),
+            encoding="utf-8")
+        out = tmp_path / "insts"
+        assert self.stderr(["preprocess", "--input", str(raw),
+                            "--out", str(out)]) == [
+            "WARNING dimasr.cli: aaa-res.json: no instances survive preprocessing "
+            "({'records_in': 1, 'quadruplets_in': 1, 'null_aspect_drops': 1, "
+            "'out_of_range_drops': 0, 'duplicate_aspect_drops': 0, "
+            "'expanded_records': 0, 'instances_out': 0})",
+            f"INFO dimasr.cli: preprocess: 2 files, 1 instances out, "
+            f"report at {out / 'report.json'}",
+        ]
 
 
 class TestModuleExit:

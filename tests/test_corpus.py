@@ -65,15 +65,15 @@ class TestVAWire:
         rng = random.Random(7)
         for _ in range(200):
             score = VAScore(rng.uniform(1, 9), rng.uniform(1, 9))
-            assert parse_va(format_va(*score.as_tuple())) == score
+            assert parse_va(format_va(*score)) == score
 
     @given(st.floats(allow_nan=False, allow_infinity=False),
            st.floats(allow_nan=False, allow_infinity=False))
     def test_round_trip_every_finite_value(self, valence, arousal):
         score = VAScore(valence, arousal)
         back = parse_va(format_va(valence, arousal))
-        assert back.as_tuple() == score.as_tuple()
-        assert format_va(*back.as_tuple()) == format_va(valence, arousal)
+        assert back == score
+        assert format_va(*back) == format_va(valence, arousal)
 
     def test_unparseable_string_names_raw_value(self):
         with pytest.raises(ParseError, match="7;5"):

@@ -172,7 +172,7 @@ class TestAverageSubset:
         m = noisy_member("M1", gold, 1.0, 0)
         twin = Member(id="M2", dev=m.dev, test=m.test)
         out = keyed_average([m, twin], PAIRS[0])
-        assert list(out.values()) == [p.va.as_tuple() for p in m.dev[PAIRS[0]]]
+        assert list(out.values()) == [tuple(p.va) for p in m.dev[PAIRS[0]]]
 
     def test_matches_scalar_loop_oracle(self):
         members, _ = make_members(3)
@@ -232,7 +232,7 @@ def brute_force_best(members, gold, pair, min_size, max_size):
             for key, g in gold_map.items():
                 preds.append((sum(d[key].valence for d in keyed) / len(subset),
                               sum(d[key].arousal for d in keyed) / len(subset)))
-                golds.append(g.as_tuple())
+                golds.append(tuple(g))
             # Squares as products: `x ** 2` goes through libm pow, which may
             # miss the correctly rounded square by an ulp and so reorder
             # subsets whose averages differ from each other by an ulp.  The

@@ -275,6 +275,14 @@ ROWS = {
         ["submit", "--pred", "{root}/underscore-pool/M1"],
         [f"{{root}}/underscore-pool/M1/{SYNTH_PAIRS[0]}.json", "record 1", "'VA'",
          "'5_0#5'"]),
+    "evaluate prediction VA 1e200#5.0": (
+        ["evaluate", "--pred", "{root}/huge-pool/M3", "--gold", "{root}/insts"],
+        [f"{{root}}/huge-pool/M3/{SYNTH_PAIRS[0]}.json", f"pair {SYNTH_PAIRS[0]}",
+         "rmse_va overflows"]),
+    "ensemble member VA 1e200#5.0": (
+        ["ensemble", "--dev-preds", "{root}/huge-pool", "--dev-gold", "{root}/insts"],
+        [f"{{root}}/huge-pool/M3/{SYNTH_PAIRS[0]}.json", f"pair {SYNTH_PAIRS[0]}",
+         "float range"]),
     "ensemble test member without a dev member": (
         ["ensemble", "--dev-preds", "{root}/pool/dev", "--test-preds",
          "{root}/pool/test", "--dev-gold", "{root}/insts"],
@@ -393,6 +401,9 @@ def inputs(tmp_path_factory):
         shutil.copytree(root / "preds/M1", root / "pool" / member)
     rewrite(root / "preds/M1", root / "underscore-pool/M1", set_field("VA", "5_0#5"))
     shutil.copytree(root / "preds/M1", root / "underscore-pool/M2")
+    for member in ("M1", "M2"):   # subsets without M3 multiply its inf by 0
+        shutil.copytree(root / "preds/M1", root / "huge-pool" / member)
+    rewrite(root / "preds/M1", root / "huge-pool/M3", set_field("VA", "1e200#5.0"))
     rewrite(root / "insts", root / "no-va",
             lambda rows: [{k: v for k, v in r.items() if k != "VA"} for r in rows])
     rewrite(root / "insts", root / "one-record",

@@ -238,7 +238,7 @@ class TestEvaluate:
         assert "zho-res" in table and "Avg." in table
         assert "1.0000" in table
 
-    def test_report_is_dataclass_with_values(self):
+    def test_report_is_an_eval_report_with_values(self):
         preds, gold = self.pair_data(["aaa-res"], offset=3.0)
         report = evaluate(preds, gold)
         assert isinstance(report, EvalReport)
