@@ -218,7 +218,12 @@ class Stage:
         self.outputs: dict[str, Path] = {}
 
     def read(self, flag: str, root: Path, paths: list[Path]) -> list[Path]:
-        """Record `paths`, files under the `--flag` directory `root`, as inputs."""
+        """Record `paths`, files under the `--flag` directory `root`, as
+        inputs.  A stage never writes into its own input: an `--out` that
+        resolves to `root` is a ParseError naming both flags."""
+        if self.out.resolve() == root.resolve():
+            raise ParseError(f"--out {self.out} is the --{flag} directory: a "
+                             f"stage never writes into its own input")
         for path in paths:
             self.inputs[f"{flag}/{path.relative_to(root).as_posix()}"] = path
         return paths
@@ -398,10 +403,10 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     from . import encoding, trainer
-    spec, grid, fraction = load_run_config(args.config, args.seed, args.regime)
     stage = Stage("train", args.out)
     if args.config:
         stage.read("config", Path(args.config).parent, [Path(args.config)])
+    spec, grid, fraction = load_run_config(args.config, args.seed, args.regime)
     files = stage.pair_files("data", args.data, pairs=args.pairs)
     per_pair = {pair: load_instances(f) for pair, f in files.items()}
     unlabelled = [(f, i) for pair, f in files.items()
@@ -549,6 +554,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ensemble(args) -> int:
     from . import ensemble, metrics
+    if args.min_size > ensemble.MAX_POOL_SIZE:
+        args.parser.error(f"argument --min-size: {args.min_size} is above "
+                          f"MAX_POOL_SIZE {ensemble.MAX_POOL_SIZE}")
+    if args.max_size is not None and args.max_size < args.min_size:
+        args.parser.error(f"argument --max-size: {args.max_size} is below "
+                          f"--min-size {args.min_size}")
     stage = Stage("ensemble", args.out)
     dev_root = Path(args.dev_preds)
     member_ids = [p.name for p in sorted(dev_root.glob("*")) if p.is_dir()]
@@ -574,15 +585,16 @@ def cmd_ensemble(args) -> int:
     gold = _check_gold({pair: metrics.Columns(*load_predictions(f), str(f))
                         for pair, f in gold_files.items()})
     # One key list per pair and split: the gold file's on dev, the first
-    # member's on test.  A member file whose keys differ is a ParseError
-    # naming it, raised as the file is read.  Passed inline, the members are
-    # freed once the pool has stacked their values.
+    # member's on test.  Each file is aligned to it as it is read, so one
+    # whose keys differ is a ParseError naming it, and the pool finds that
+    # list as its first member's.  Passed inline, the members are freed once
+    # the pool has stacked their values.
     test_refs = {}
     pool = ensemble.CandidatePool([ensemble.Member(
                    id=mid, dev=_load_columns(files["dev"][mid], gold),
                    test=(_load_columns(files["test"][mid], test_refs)
                          if "test" in files else {}))
-               for mid in member_ids], dev_gold=gold)
+               for mid in member_ids])
     selection = ensemble.search(pool, gold, min_size=args.min_size,
                                 max_size=args.max_size)
     combined = {split: ensemble.apply(selection, pool, split) for split in files}
@@ -713,10 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if (args.command == "ensemble" and args.max_size is not None
-            and args.max_size < args.min_size):
-        args.parser.error(f"argument --max-size: {args.max_size} is below "
-                          f"--min-size {args.min_size}")
     try:
         return args.func(args)
     except ParseError as exc:

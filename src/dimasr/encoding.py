@@ -252,8 +252,6 @@ def _toy_rows(rows, n: int, d: int, seed: int) -> np.ndarray:
     """The toy encoding rule (module docstring) on an iterator of `n` id
     sequences, _CHUNK_ROWS at a time.  Each position adds to the rows with a
     token there, in position order: bit-identical to a loop over each row."""
-    if d < 2:
-        raise EncodingError(f"toy encoder needs d >= 2, got {d}")
     out = np.zeros((n, d))
     for start in range(0, n, _CHUNK_ROWS):
         ids = np.array(list(islice(rows, _CHUNK_ROWS)), dtype=np.int64)

@@ -59,16 +59,16 @@ def _columns(items: list | Columns, source: str) -> Columns:
 class CandidatePool:
     """An ordered pool of 2..12 members covering the same pairs and instances.
 
-    Each pair and split is one (members, n, 2) tensor whose rows follow a
-    reference key list: `dev_gold`'s on dev when given, else the first
-    member's.  Members are aligned to it up front, so a file with a
+    Each pair and split is one (members, n, 2) tensor whose rows follow one
+    reference key list, the first member's keys de-duplicated, on both
+    splits (`dimasr ensemble` aligns each dev member file to the gold keys
+    as it reads it).  Members are aligned to it up front, so a file with a
     duplicate, missing or extra key fails here, naming the file.  A test
     pair is held only when every member has it.  The members are not kept,
     only the names of their dev sources, which `search` errors give.
     """
 
-    def __init__(self, members: list[Member],
-                 dev_gold: dict[PairID, Columns] | None = None):
+    def __init__(self, members: list[Member]):
         if not 2 <= len(members) <= MAX_POOL_SIZE:
             raise ValueError(f"pool size must be in [2, {MAX_POOL_SIZE}], "
                              f"got {len(members)}")
@@ -92,11 +92,9 @@ class CandidatePool:
                 files = [_columns(getattr(m, split)[pair],
                                   f"member {m.id} {split} {pair}")
                          for m in members]
-                ref = ((dev_gold or {}).get(pair, files[0]) if split == "dev"
-                       else files[0])
                 # Unique reference keys: a repeat in the reference file
                 # itself then shows up when that file is aligned to them.
-                ref = ref._replace(keys=list(dict.fromkeys(ref.keys)))
+                ref = files[0]._replace(keys=list(dict.fromkeys(files[0].keys)))
                 self.reference[split][pair] = ref
                 self.tensors[split][pair] = np.stack(
                     [align_columns(f, ref) for f in files])
@@ -165,6 +163,8 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list | Columns],
         max_size = len(pool)
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
+    if max_size < min_size:
+        raise ValueError(f"max_size {max_size} is below min_size {min_size}")
     if len(pool) < min_size:
         raise ValueError(f"pool of {len(pool)} cannot satisfy min_size {min_size}")
     max_size = min(max_size, len(pool))

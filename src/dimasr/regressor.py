@@ -3,7 +3,8 @@
 Forward path: e = feats A^T (optional trainable projection A), h = Dropout(e),
 y = W h + b, with W in R^{2 x d} and b in R^2.  When bounded, predictions are
 mapped through sigmoid(y) * 8 + 1 so both components lie strictly inside
-(1, 9); the loss is plain MSE on the final (bounded or raw) predictions.
+(1, 9), the VA range `corpus.VA_MIN`/`VA_MAX`; the loss is plain MSE on the
+final (bounded or raw) predictions.
 forward_cached() is the one forward path: training runs it with dropout and
 keeps its cache for backward(), and predict() runs it with train=False.
 backward() returns exact analytic gradients, including the per-output chain
@@ -19,13 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import check_fields
+from .corpus import VA_MAX, VA_MIN, check_fields
 
-BOUND_LO = 1.0
-BOUND_HI = 9.0
-BOUND_SPAN = 8.0
-_INSIDE_LO = np.nextafter(BOUND_LO, BOUND_HI)   # the bounds one ulp inside
-_INSIDE_HI = np.nextafter(BOUND_HI, BOUND_LO)
+_INSIDE_LO = np.nextafter(VA_MIN, VA_MAX)   # the bounds one ulp inside
+_INSIDE_HI = np.nextafter(VA_MAX, VA_MIN)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -49,7 +47,7 @@ def bound(y: np.ndarray) -> np.ndarray:
 
 def _scale_sigmoid(s: np.ndarray) -> np.ndarray:
     """bound() from an already computed sigmoid(y): 1 + 8 * s, one ulp inside."""
-    return np.clip(BOUND_LO + BOUND_SPAN * s, _INSIDE_LO, _INSIDE_HI)
+    return np.clip(VA_MIN + (VA_MAX - VA_MIN) * s, _INSIDE_LO, _INSIDE_HI)
 
 
 @dataclass
@@ -156,7 +154,7 @@ def backward(cache: dict, gold: np.ndarray) -> dict[str, np.ndarray]:
     g_pred = (pred - gold) / n
     if params.bounded:
         s = cache["s"]
-        g_y = g_pred * (BOUND_SPAN * s * (1.0 - s))
+        g_y = g_pred * ((VA_MAX - VA_MIN) * s * (1.0 - s))
     else:
         g_y = g_pred
 

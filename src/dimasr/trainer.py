@@ -273,7 +273,8 @@ def _train_stack(encoded: tuple[Encoded, Encoded | None],
     as one stack, each bit for bit as its own run would: they start from one
     head and draw the same permutations and dropout masks.  Their parameters
     are the rows of one buffer, each laid out as a checkpoint's payload, so
-    one forward, backward and AdamW step per batch serve them all.  Returns
+    one forward, backward and AdamW step per batch serve them all.  A config
+    leaves the stack at the end of the epoch that gives it a result.  Returns
     each config's checkpoint or the TrainingError that stopped it."""
     (feats, golds), val_encoded = encoded
     first, d, trainable = configs[0], encoder_spec.hidden_size, encoder_spec.trainable_layer
@@ -289,22 +290,12 @@ def _train_stack(encoded: tuple[Encoded, Encoded | None],
     best, results = [None] * len(configs), [None] * len(configs)
     history: list[list[dict]] = [[] for _ in configs]
     live = list(range(len(configs)))   # the config of each buffer row
-    head = projection = None   # views into buf, which unfinished() keeps
-
-    def unfinished() -> bool:
-        """Slice the configs with a result out of the stack; False once none is left."""
-        nonlocal buf, live, head, projection
-        rows = np.array([results[c] is None for c in live])
-        buf, live = buf[rows], [c for c, kept in zip(live, rows) if kept]
-        opt.keep(rows)
+    epoch = 0
+    while live:
+        epoch += 1
         W, b, projection = _unflatten(buf, d, trainable)
         head = regressor.HeadParams(W=W, b=b, dropout_rate=first.dropout_rate,
                                     bounded=first.bounded)
-        return bool(live)
-
-    epoch = 0
-    while unfinished():
-        epoch += 1
         order = rng.permutation(len(feats))
         loss_sum = np.zeros(len(live))
         for step, start in enumerate(range(0, len(feats), first.batch_size)):
@@ -316,19 +307,19 @@ def _train_stack(encoded: tuple[Encoded, Encoded | None],
             opt.step(buf, np.concatenate([g.reshape(len(live), -1)
                                           for g in grads.values()], axis=1))
             loss_sum += loss * len(idx)
-            if not np.isfinite(loss).all():
-                for row in np.flatnonzero(~np.isfinite(loss)).tolist():
+            # A failed config's row never mixes with the others: it rides
+            # out the epoch unread.
+            for row in np.flatnonzero(~np.isfinite(loss)).tolist():
+                if results[live[row]] is None:
                     results[live[row]] = TrainingError(
                         f"{ids[live[row]]}: non-finite loss at epoch {epoch}, step {step}")
-                loss_sum = loss_sum[np.isfinite(loss)]
-                if not unfinished():
-                    return results
-        train_mse = (loss_sum / len(feats)).tolist()
-
-        val = ([float(val_metric_fn(epoch, {"head": head, "projection": projection}))]
-               if val_metric_fn is not None
-               else _validation_rmse(*val_encoded, head, projection))
-        for row, c in enumerate(live):
+        pending = [(row, c) for row, c in enumerate(live) if results[c] is None]
+        if pending:
+            train_mse = (loss_sum / len(feats)).tolist()
+            val = ([float(val_metric_fn(epoch, {"head": head, "projection": projection}))]
+                   if val_metric_fn is not None
+                   else _validation_rmse(*val_encoded, head, projection))
+        for row, c in pending:
             if not np.isfinite(val[row]):
                 results[c] = TrainingError(
                     f"{ids[c]}: non-finite validation RMSE at epoch {epoch}")
@@ -351,6 +342,9 @@ def _train_stack(encoded: tuple[Encoded, Encoded | None],
                                               bounded=first.bounded),
                     projection=A, best_val_rmse=float(stopper.best_score),
                     epoch_of_best=int(stopper.best_epoch), history=history[c])
+        keep = np.array([results[c] is None for c in live])
+        buf, live = buf[keep], [c for c, kept in zip(live, keep) if kept]
+        opt.keep(keep)
     return results
 
 

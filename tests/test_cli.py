@@ -291,6 +291,29 @@ class TestTrainStage:
         assert [(c.seed, c.patience, c.dropout_rate) for c in grid] == \
             [(3, 4, 0.2), (7, 1, 0.2)]
 
+    def test_width_one_encoder_trains_and_predicts(self, pipeline, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(
+            {**RUN_CONFIG, "encoder": {**RUN_CONFIG["encoder"], "hidden_size": 1},
+             "grid": TINY_GRID}), encoding="utf-8")
+        assert run(["train", "--data", str(pipeline / "insts/train"),
+                    "--out", str(tmp_path / "ckpts"),
+                    "--config", str(config_path)]) == 0
+        assert run(["predict", "--ckpts", str(tmp_path / "ckpts"),
+                    "--data", str(pipeline / "insts/dev"),
+                    "--out", str(tmp_path / "preds")]) == 0
+        for pair in SYNTH_PAIRS:
+            gold = json.loads((pipeline / "insts/dev" / f"{pair}.json").read_text())
+            for mid in ("M1", "M2"):
+                assert trainer.Checkpoint.load(
+                    tmp_path / "ckpts" / f"{mid}.ckpt").encoder_spec.hidden_size == 1
+                rows = json.loads((tmp_path / "preds" / mid / f"{pair}.json").read_text())
+                assert [(r["ID"], r["Aspect"]) for r in rows] == \
+                    [(g["ID"], g["Aspect"]) for g in gold]
+            bounded = json.loads((tmp_path / "preds/M1" / f"{pair}.json").read_text())
+            assert all(VA_MIN < x < VA_MAX
+                       for r in bounded for x in parse_va(r["VA"]))
+
     @pytest.mark.parametrize("key,entry", [
         ("patiense", {"patiense": 3}),
         ("bogus", {"grid": [{"batch_size": 8, "learning_rate": 0.01,
@@ -689,6 +712,45 @@ class TestEnsembleStage:
         assert err.startswith(f"error: {path}: ") and "duplicate key" in err
         assert not out.exists()
 
+    def test_shuffled_dev_member_leaves_every_output(self, pipeline, tmp_path):
+        # Each dev member file is aligned to the gold keys as it is read, so
+        # its own record order moves no output byte.
+        outs = []
+        for name, order in (("kept", 1), ("reversed", -1)):
+            root = tmp_path / name
+            self.copy_members(pipeline, root)
+            path = root / "M1" / f"{SYNTH_PAIRS[0]}.json"
+            path.write_text(json.dumps(json.loads(path.read_text())[::order]),
+                            encoding="utf-8")
+            outs.append(tmp_path / f"ens-{name}")
+            assert run(["ensemble", "--dev-preds", str(root),
+                        "--dev-gold", str(pipeline / "insts/dev"),
+                        "--out", str(outs[-1])]) == 0
+        kept, moved = (tree_hashes(out) for out in outs)
+        del kept["manifest.json"], moved["manifest.json"]   # input hashes differ
+        assert kept == moved
+        gold = json.loads((pipeline / "insts/dev" / f"{SYNTH_PAIRS[0]}.json").read_text())
+        rows = json.loads((outs[1] / "dev" / f"{SYNTH_PAIRS[0]}.json").read_text())
+        assert [(r["ID"], r["Aspect"]) for r in rows] == \
+            [(g["ID"], g["Aspect"]) for g in gold]
+
+    def test_first_member_missing_a_gold_key_names_both_files(self, pipeline,
+                                                              tmp_path, capsys):
+        root = tmp_path / "preds"
+        self.copy_members(pipeline, root)
+        cut = root / "M1" / f"{SYNTH_PAIRS[0]}.json"
+        rows = json.loads(cut.read_text())
+        cut.write_text(json.dumps(rows[1:]), encoding="utf-8")
+        gold = pipeline / "insts/dev" / f"{SYNTH_PAIRS[0]}.json"
+        out = tmp_path / "ens"
+        assert run(["ensemble", "--dev-preds", str(root),
+                    "--dev-gold", str(pipeline / "insts/dev"),
+                    "--out", str(out)]) == 1
+        assert single_error_line(capsys) == (
+            f"error: {cut}: (ID, Aspect) keys differ from {gold}: first missing "
+            f"key {(rows[0]['ID'], rows[0]['Aspect'])}")
+        assert not out.exists()
+
     def test_peak_memory_grows_less_than_a_key_list_per_member(self, tmp_path):
         """Traced peak of an in-process `ensemble` on pools of 2 and 12
         members over the same gold: each extra member may add its aligned
@@ -838,6 +900,32 @@ class TestSubmitStage:
         assert not out.exists()
 
 
+class TestOutIsNotAnInput:
+    """A stage never writes into its own input directory: an --out that
+    resolves to an input flag's directory stops the stage with one line
+    naming both flags, before any input file is read."""
+
+    @pytest.mark.parametrize("stage, flag, make", [
+        ("preprocess", "--input",
+         lambda root: write_raw_dir(root, n_records=4, seed=1)),
+        ("submit", "--pred",
+         lambda root: (root / "aaa-res.json").write_text(json.dumps(
+             [{"ID": "r0", "Aspect": "x", "VA": "4.985338330886608#5.124473579040969"}]))),
+    ], ids=["preprocess", "submit"])
+    def test_out_into_input_rejected(self, tmp_path, capsys, stage, flag, make):
+        root = tmp_path / "in"
+        root.mkdir()
+        make(root)
+        before = tree_hashes(root)
+        # The same directory under another spelling.
+        out = str(root / ".." / "in")
+        assert run([stage, flag, str(root), "--out", out]) == 1
+        assert single_error_line(capsys) == (
+            f"error: --out {out} is the {flag} directory: a stage never "
+            f"writes into its own input")
+        assert tree_hashes(root) == before
+
+
 class TestFlagValidation:
     """Out-of-range flags stop in argparse: exit 2 and its usage line."""
 
@@ -847,6 +935,8 @@ class TestFlagValidation:
         (["ensemble", "--max-size", "0"], "argument --max-size: must be >= 1"),
         (["ensemble", "--min-size", "3", "--max-size", "2"],
          "argument --max-size: 2 is below --min-size 3"),
+        (["ensemble", "--min-size", "13"],
+         "argument --min-size: 13 is above MAX_POOL_SIZE 12"),
         (["train", "--seed", "-1"], "argument --seed: must be >= 0"),
     ])
     def test_bad_flag_exits_2_with_usage(self, tmp_path, capsys, argv, message):

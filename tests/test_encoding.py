@@ -181,10 +181,14 @@ class TestToyEncode:
             np.testing.assert_allclose(toy_encode(out, d, seed), expected,
                                        atol=1e-15)
 
-    def test_small_dimension_rejected(self):
-        out = format_pair("a", "b", SPEC)
-        with pytest.raises(EncodingError):
-            toy_encode(out, 1, 0)
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    def test_width_one_equals_default_rng(self, seed):
+        # EncoderSpec admits hidden_size 1; the kernel has no floor of its own.
+        out = format_pair("battery", "great battery life", SPEC)
+        tokens = [t for t in out.tokens if t != PAD_ID]
+        expected = sum(np.random.default_rng([seed, t]).uniform(-1.0, 1.0, 1)
+                       / (1.0 + pos) for pos, t in enumerate(tokens)) / len(tokens)
+        assert toy_encode(out, 1, seed).tobytes() == expected.tobytes()
 
 
 def toy_rows(rows, d, seed):
@@ -272,7 +276,7 @@ ids = st.one_of(st.just(PAD_ID), st.integers(FIRST_SPECIAL_ID, 40))
 
 class TestBatchedEncoderBitExact:
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), max_len=st.integers(8, 24), d=st.integers(2, 40),
+    @given(data=st.data(), max_len=st.integers(8, 24), d=st.integers(1, 40),
            seed=st.integers(0, 5))
     def test_id_rows(self, data, max_len, d, seed):
         rows = data.draw(st.lists(st.lists(ids, min_size=max_len,
@@ -286,7 +290,7 @@ class TestBatchedEncoderBitExact:
                st.lists(st.sampled_from(WORDS), max_size=30)), min_size=1,
                max_size=10),
            template=st.sampled_from([TEMPLATE_BERT, TEMPLATE_ROBERTA]),
-           max_len=st.integers(8, 24), d=st.integers(2, 40),
+           max_len=st.integers(8, 24), d=st.integers(1, 40),
            seed=st.integers(0, 5))
     def test_templates_with_truncation(self, pairs, template, max_len, d, seed):
         pairs = [(" ".join(a), " ".join(t)) for a, t in pairs]
@@ -316,7 +320,7 @@ class TestTokenTableBitExact:
 
     @settings(max_examples=80, deadline=None)
     @given(ids=st.lists(st.integers(N_RESERVED, 2**40), unique=True, max_size=40),
-           d=st.integers(2, 64), seed=st.sampled_from(SEEDS))
+           d=st.integers(1, 64), seed=st.sampled_from(SEEDS))
     def test_equals_default_rng(self, ids, d, seed):
         got = encoding._token_table(np.array(ids, dtype=np.int64), d, seed)
         assert got.shape == (len(ids), d)

@@ -17,7 +17,7 @@ from dimasr.ensemble import (
     search,
 )
 from dimasr.ensemble import apply as apply_selection
-from dimasr.metrics import Columns, Prediction, rmse_va, va_array
+from dimasr.metrics import Prediction, rmse_va, va_array
 from synth import make_instances
 
 PAIRS = [PairID.parse(p) for p in ("aaa-res", "bbb-lap")]
@@ -113,32 +113,20 @@ class TestPoolValidation:
                 f"member M1 dev {PAIRS[0]}: first missing key {cut.key}")):
             CandidatePool([a, b])
 
-    def test_rows_follow_dev_gold_whatever_the_file_order(self):
+    def test_rows_follow_the_first_member_whatever_the_file_order(self):
+        # `dimasr ensemble` aligns each dev file to the gold keys as it reads
+        # it; the pool itself has one rule, the first member's keys.
         gold = gold_fixture()
         a = noisy_member("M1", gold, 1.0, 0)
         b = noisy_member("M2", gold, 1.0, 1)
         shuffled = Member(id="M2", dev={p: list(reversed(v))
                                         for p, v in b.dev.items()})
-        dev_gold = {p: Columns([i.key for i in dev], None, f"gold/{p}.json")
-                    for p, (dev, _) in gold.items()}
-        pool = CandidatePool([a, shuffled], dev_gold=dev_gold)
+        pool = CandidatePool([a, shuffled])
         for pair, (dev, _) in gold.items():
             assert pool.reference["dev"][pair].keys == [i.key for i in dev]
             np.testing.assert_array_equal(
                 pool.tensors["dev"][pair],
                 [va_array([p.va for p in m.dev[pair]]) for m in (a, b)])
-
-    def test_member_missing_from_gold_keys_names_gold(self):
-        gold = gold_fixture()
-        a = noisy_member("M1", gold, 1.0, 0)
-        b = noisy_member("M2", gold, 1.0, 1)
-        dev, _ = gold[PAIRS[0]]
-        dev_gold = {PAIRS[0]: Columns([i.key for i in dev[1:]], None,
-                                      "gold/aaa-res.json")}
-        with pytest.raises(ParseError, match=re.escape(
-                f"member M1 dev {PAIRS[0]}: (ID, Aspect) keys differ from "
-                f"gold/aaa-res.json: first extra key {dev[0].key}")):
-            CandidatePool([a, b], dev_gold=dev_gold)
 
     def test_duplicate_in_first_test_member_rejected(self):
         # The first member's test file is the reference; a repeated key in
@@ -377,6 +365,11 @@ class TestSearch:
         pool, gold = make_pool(3)
         with pytest.raises(ValueError, match="min_size"):
             search(pool, gold, min_size=4)
+
+    def test_max_size_below_min_size_rejected(self):
+        pool, gold = make_pool(3)
+        with pytest.raises(ValueError, match="^max_size 2 is below min_size 3$"):
+            search(pool, gold, min_size=3, max_size=2)
 
     def test_singletons_allowed_when_requested(self):
         pool, gold = make_pool(3)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dimasr import encoding, metrics, regressor
+from dimasr import encoding, metrics, regressor, trainer
 from dimasr.corpus import REGIMES, Instance, PairID, VAScore
 from dimasr.encoding import EncoderSpec, EncodingError
 from dimasr.trainer import (
@@ -453,6 +453,62 @@ class TestGrid:
         val = make_instances("zho-res", 4, seed=1)
         with pytest.raises(TrainingError, match=r"^M1: non-finite loss at epoch 1"):
             train_grid(poisoned, val, [config(batch_size=32)], SPEC, ["M1"])
+
+
+class TestStackExits:
+    """A config leaves its stack only at the end of an epoch: one whose loss
+    turns non-finite keeps its row, unread, to the end of that epoch."""
+
+    SHARED = dict(batch_size=8, seed=42, dropout_rate=0.1, bounded=True)
+
+    def encoded(self):
+        train_set = make_instances("zho-res", 40, seed=3)   # 5 steps per epoch
+        val_set = make_instances("zho-res", 6, seed=103)
+        return train_set, val_set, (trainer._encode_set(train_set, SPEC, "training"),
+                                    trainer._encode_set(val_set, SPEC, "validation"))
+
+    def test_failure_mid_epoch_leaves_the_other_configs_as_run_alone(self, tmp_path):
+        train_set, val_set, encoded = self.encoded()
+        configs = [config(learning_rate=0.01, max_epochs=5, patience=5, **self.SHARED),
+                   config(learning_rate=1e20, max_epochs=4, **self.SHARED),
+                   config(learning_rate=0.05, max_epochs=6, patience=6, **self.SHARED)]
+        ids = ["M1", "M2", "M3"]
+        results = trainer._train_stack(encoded, configs, ids, SPEC)
+        with pytest.raises(TrainingError) as alone:
+            train(train_set, val_set, configs[1], SPEC, ckpt_id="M2")
+        # Neither the first nor the last of its epoch's steps.
+        assert str(alone.value) == "M2: non-finite loss at epoch 4, step 3"
+        assert isinstance(results[1], TrainingError)
+        assert str(results[1]) == str(alone.value)
+        for i in (0, 2):
+            ckpt = train(train_set, val_set, configs[i], SPEC, ckpt_id=ids[i])
+            ckpt.save(tmp_path / "alone.ckpt")
+            results[i].save(tmp_path / "stacked.ckpt")
+            assert ((tmp_path / "stacked.ckpt").read_bytes()
+                    == (tmp_path / "alone.ckpt").read_bytes())
+            assert results[i].history == ckpt.history
+            assert len(ckpt.history) == configs[i].max_epochs   # past epoch 4
+
+    def test_no_validation_after_an_epoch_that_leaves_no_config(self, monkeypatch):
+        train_set, val_set, encoded = self.encoded()
+        validated = []
+        original = trainer._validation_rmse
+        monkeypatch.setattr(trainer, "_validation_rmse",
+                            lambda *args: validated.append(args) or original(*args))
+        raw = {**self.SHARED, "bounded": False}
+        results = trainer._train_stack(
+            encoded, [config(learning_rate=1e80, **raw),
+                      config(learning_rate=1e150, **raw)], ["M1", "M2"], SPEC)
+        assert [str(r) for r in results] == [
+            "M1: non-finite loss at epoch 1, step 1",
+            "M2: non-finite loss at epoch 1, step 1"]
+        assert validated == []
+        epochs = []
+        with pytest.raises(TrainingError, match=r"^M1: non-finite loss at epoch 4, step 3$"):
+            train(train_set, val_set, config(learning_rate=1e20, max_epochs=4,
+                                             **self.SHARED), SPEC,
+                  val_metric_fn=lambda epoch, model: epochs.append(epoch) or 1 / epoch)
+        assert epochs == [1, 2, 3]
 
 
 class TestSeparate:
