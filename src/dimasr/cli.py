@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -32,8 +33,6 @@ from .corpus import (REGIMES, Instance, PairID, ParseError, build, format_va,
                      pair_sort_key, parse_va, read_json, record_error)
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from . import encoding, metrics, trainer
 
 # Stages multiply small arrays: an OpenBLAS thread pool costs start-up, saves nothing.
@@ -155,22 +154,23 @@ def write_predictions(path: Path, keys: list[tuple[str, str]],
                       for (rid, aspect), (v, a) in zip(keys, values)])
 
 
-def _prediction_rows(path: Path) -> tuple[list[tuple[str, str]], list[float]]:
-    """A prediction file's keys and its VA values flat as [v0, a0, v1, ...],
-    read without numpy; a top level that is not an array, or a record
-    without a string ID and Aspect or a finite "v#a" VA in ASCII decimals,
-    or with a bad Pair, is a ParseError naming the path, the record and the
-    field."""
+def load_predictions(path: Path) -> metrics.Columns:
+    """A prediction (or gold instance) file as columns: its (ID, Aspect) keys
+    in file order and their (valence, arousal) float rows, read without
+    numpy.  A top level that is not an array, or a record without a string
+    ID and Aspect or a finite "v#a" VA in ASCII decimals, or with a bad
+    Pair, is a ParseError naming the path, the record and the field."""
+    from .metrics import Columns
     rows = read_json(path)
     if not isinstance(rows, list):
         raise ParseError(f"{path}: not a JSON array")
-    keys, vas, flat, i = [], [], [], 0
+    keys, vas, values, i = [], [], [], 0
     try:
         for i, row in enumerate(rows):
             keys.append((row["ID"], row["Aspect"]))
             vas.append(row["VA"])
             valence, _, arousal = vas[i].partition("#")
-            flat += (float(valence), float(arousal))
+            values.append((float(valence), float(arousal)))
         if not corpus.decimal_text("".join(vas)):   # one pass for the file
             i = next(j for j, va in enumerate(vas) if not corpus.decimal_text(va))
             raise ValueError
@@ -184,19 +184,11 @@ def _prediction_rows(path: Path) -> tuple[list[tuple[str, str]], list[float]]:
         if not (isinstance(rid, str) and isinstance(aspect, str)):
             raise record_error(path, i, "Aspect" if isinstance(rid, str) else "ID",
                                "not a string")
-    if not all(map(math.isfinite, flat)):
-        i = next(j for j, x in enumerate(flat) if not math.isfinite(x)) // 2
+    if not all(map(math.isfinite, chain.from_iterable(values))):
+        i = next(j for j, va in enumerate(values) if not all(map(math.isfinite, va)))
         raise record_error(path, i, "VA", f"non-finite VA value {rows[i]['VA']!r}")
     _check_pair(path, rows)
-    return keys, flat
-
-
-def load_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray]:
-    """The (ID, Aspect) keys of a prediction (or gold instance) file in file
-    order and their (n, 2) float64 VA values; see `_prediction_rows`."""
-    import numpy as np
-    keys, flat = _prediction_rows(path)
-    return keys, np.array(flat, dtype=np.float64).reshape(-1, 2)
+    return Columns(keys, values, str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +209,25 @@ class Stage:
         self.inputs: dict[str, Path] = {}
         self.outputs: dict[str, Path] = {}
 
-    def read(self, flag: str, root: Path, paths: list[Path]) -> list[Path]:
+    def read(self, flag: str, root: Path, paths: list[Path],
+             listed: bool = True) -> list[Path]:
         """Record `paths`, files under the `--flag` directory `root`, as
-        inputs.  A stage never writes into its own input: an `--out` that
-        resolves to `root` is a ParseError naming both flags."""
-        if self.out.resolve() == root.resolve():
-            raise ParseError(f"--out {self.out} is the --{flag} directory: a "
-                             f"stage never writes into its own input")
+        inputs.  A stage never writes into its own input, nor where a later
+        run reads it as input: an `--out` at or inside a listed `root`, or
+        an input at or inside `--out`, is a ParseError naming both flags.  A
+        file given by name, as `--config`, is not `listed`: only it counts."""
+        out = self.out.resolve()
+        for given in [root] if listed else paths:
+            where = given.resolve()
+            if listed and out == where:
+                raise ParseError(f"--out {self.out} is the --{flag} directory: a "
+                                 f"stage never writes into its own input")
+            if listed and where in out.parents:
+                raise ParseError(f"--out {self.out} is inside the --{flag} directory "
+                                 f"{given}: a stage never writes into its own input")
+            if out == where or out in where.parents:
+                raise ParseError(f"--{flag} {given} is inside --out {self.out}: a "
+                                 f"stage never reads its own output")
         for path in paths:
             self.inputs[f"{flag}/{path.relative_to(root).as_posix()}"] = path
         return paths
@@ -405,7 +409,8 @@ def cmd_train(args) -> int:
     from . import encoding, trainer
     stage = Stage("train", args.out)
     if args.config:
-        stage.read("config", Path(args.config).parent, [Path(args.config)])
+        stage.read("config", Path(args.config).parent, [Path(args.config)],
+                   listed=False)
     spec, grid, fraction = load_run_config(args.config, args.seed, args.regime)
     files = stage.pair_files("data", args.data, pairs=args.pairs)
     per_pair = {pair: load_instances(f) for pair, f in files.items()}
@@ -484,30 +489,19 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _load_columns(files: dict[PairID, Path], refs: dict[PairID, metrics.Columns]
+def _load_columns(files: dict[PairID, Path], gold: dict[PairID, metrics.Columns]
                   ) -> dict[PairID, metrics.Columns]:
-    """The columns of per-pair prediction files, by pair, each aligned to
-    `refs[pair]` as soon as it is read, so it keeps that reference's key
-    list instead of its own.  A pair without a reference takes this file's
-    keys, de-duplicated, as one; a repeat in the file then fails its own
-    alignment."""
-    from .metrics import Columns, align_columns
+    """The columns of per-pair dev prediction files, by pair, each aligned to
+    its gold file's keys as soon as it is read, so it keeps the gold key
+    list instead of its own and a file whose keys differ is a ParseError
+    naming it and the gold file."""
+    from .metrics import align_columns
     out = {}
     for pair, path in files.items():
-        cols = Columns(*load_predictions(path), str(path))
-        if pair not in refs:
-            refs[pair] = cols._replace(keys=list(dict.fromkeys(cols.keys)))
-        ref = refs[pair]
-        out[pair] = Columns(ref.keys, align_columns(cols, ref), cols.source)
+        cols = load_predictions(path)
+        out[pair] = cols._replace(keys=gold[pair].keys,
+                                  values=align_columns(cols, gold[pair]))
     return out
-
-
-def _load_rows(path: Path) -> metrics.Columns:
-    """A prediction (or gold) file as columns whose values are a list of
-    (valence, arousal) rows, read without numpy."""
-    from .metrics import Columns
-    keys, flat = _prediction_rows(path)
-    return Columns(keys, list(zip(flat[0::2], flat[1::2])), str(path))
 
 
 def _check_gold(gold: dict[PairID, metrics.Columns]) -> dict[PairID, metrics.Columns]:
@@ -520,8 +514,7 @@ def _check_gold(gold: dict[PairID, metrics.Columns]) -> dict[PairID, metrics.Col
         for i, (rid, _) in enumerate(g.keys):
             if not rid.strip():
                 raise record_error(g.source, i, "ID", "blank")
-        for i, va in enumerate(g.values if isinstance(g.values, list)
-                               else g.values.tolist()):
+        for i, va in enumerate(g.values):
             if not corpus.VAScore(*va).in_range():
                 raise record_error(g.source, i, "VA", f"{format_va(*va)} outside "
                                    f"[{corpus.VA_MIN}, {corpus.VA_MAX}]")
@@ -535,8 +528,8 @@ def cmd_evaluate(args) -> int:
     gold_files = stage.pair_files("gold", args.gold)
     pred_files = stage.pair_files("pred", args.pred)
     _match_gold(args.gold, gold_files, {Path(args.pred): pred_files})
-    gold = _check_gold({pair: _load_rows(f) for pair, f in gold_files.items()})
-    preds = {pair: metrics.align_columns(_load_rows(f), gold[pair])
+    gold = _check_gold({pair: load_predictions(f) for pair, f in gold_files.items()})
+    preds = {pair: metrics.align_columns(load_predictions(f), gold[pair])
              for pair, f in pred_files.items()}
     report = metrics.evaluate(preds, {p: g.values for p, g in gold.items()})
     for pair, rmse in report.per_pair.items():   # the report must be valid JSON
@@ -582,19 +575,16 @@ def cmd_ensemble(args) -> int:
                 {Path(roots[split]) / mid: found
                  for split, by_member in files.items()
                  for mid, found in by_member.items()})
-    gold = _check_gold({pair: metrics.Columns(*load_predictions(f), str(f))
-                        for pair, f in gold_files.items()})
-    # One key list per pair and split: the gold file's on dev, the first
-    # member's on test.  Each file is aligned to it as it is read, so one
-    # whose keys differ is a ParseError naming it, and the pool finds that
-    # list as its first member's.  Passed inline, the members are freed once
-    # the pool has stacked their values.
-    test_refs = {}
-    pool = ensemble.CandidatePool([ensemble.Member(
+    gold = _check_gold({pair: load_predictions(f) for pair, f in gold_files.items()})
+    # One key list per pair and split: the gold file's on dev, which the
+    # pool then finds as its first member's, and the first member's on test.
+    # Passed as a generator, the members are read one at a time, each file
+    # aligned to that list and freed once the pool holds it as an array.
+    pool = ensemble.CandidatePool(ensemble.Member(
                    id=mid, dev=_load_columns(files["dev"][mid], gold),
-                   test=(_load_columns(files["test"][mid], test_refs)
-                         if "test" in files else {}))
-               for mid in member_ids])
+                   test={pair: load_predictions(f)
+                         for pair, f in files.get("test", {}).get(mid, {}).items()})
+               for mid in member_ids)
     selection = ensemble.search(pool, gold, min_size=args.min_size,
                                 max_size=args.max_size)
     combined = {split: ensemble.apply(selection, pool, split) for split in files}
@@ -607,11 +597,11 @@ def cmd_ensemble(args) -> int:
     for split, by_pair in combined.items():
         for pair, values in by_pair.items():
             write_predictions(stage.output(f"{split}/{pair}.json"),
-                              pool.reference[split][pair].keys, values.tolist())
+                              pool.reference[split][pair].keys, values)
     write_json(stage.output("dev_report.json"), dev_report.as_dict())
     for pair, values in combined.get("test", {}).items():
         write_submission(stage.output(f"submission/{pair}.json"),
-                         pool.reference["test"][pair].keys, values.tolist())
+                         pool.reference["test"][pair].keys, values)
     stage.finish({"min_size": args.min_size, "max_size": args.max_size})
     print(selection.render_membership_matrix())
     return 0
@@ -641,13 +631,12 @@ def write_submission(path: Path, keys: list[tuple[str, str]], values,
 def cmd_submit(args) -> int:
     stage = Stage("submit", args.out)
     files = stage.pair_files("pred", args.pred, pairs=args.pairs)
-    read = {f: _prediction_rows(f) for f in files.values()}   # all before writing any
-    for f, (keys, _) in read.items():
-        _check_unique(f, keys)
+    read = {f: load_predictions(f) for f in files.values()}   # all before writing any
+    for f, cols in read.items():
+        _check_unique(f, cols.keys)
     total_clamped = 0
-    for f, (keys, flat) in read.items():
-        total_clamped += write_submission(stage.output(f.name), keys,
-                                          zip(flat[0::2], flat[1::2]),
+    for f, cols in read.items():
+        total_clamped += write_submission(stage.output(f.name), cols.keys, cols.values,
                                           clamp=args.clamp, precision=args.precision)
     stage.finish({"clamp": args.clamp, "precision": args.precision,
                   "pairs": args.pairs})

@@ -10,7 +10,7 @@ and are only averaged when a selection is applied.
 
 The pool holds each pair and split as one (members, n, 2) tensor whose rows
 follow one reference key list, so the search and `apply` index arrays; an
-average is `tensor[list(subset)].mean(axis=0)`.
+average is `tensor[list(subset)].mean(axis=0)`, handed back as rows.
 
 The search stays exact and exhaustive but does not average every subset.
 With e_m member m's (n, 2) dev error and G_ij = sum(e_i * e_j) the pair's
@@ -23,12 +23,14 @@ from that direct path alone.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .corpus import PairID, ParseError, pair_sort_key
-from .metrics import Columns, Prediction, align_columns, rmse_va, va_array
+from .metrics import Columns, Prediction, align_columns, rmse_va
 
 MAX_POOL_SIZE = 12   # exhaustive search; beyond this the enumeration explodes
 
@@ -45,7 +47,7 @@ class Member:
 
 def _columns(items: list | Columns, source: str) -> Columns:
     """Columns as given, or a list of Predictions or gold-carrying Instances
-    turned into columns once."""
+    turned into columns once, their VAScores as the rows."""
     if isinstance(items, Columns):
         return items
     values = [item.va if isinstance(item, Prediction) else item.gold
@@ -53,53 +55,59 @@ def _columns(items: list | Columns, source: str) -> Columns:
     missing = next((item.key for item, va in zip(items, values) if va is None), None)
     if missing is not None:
         raise ValueError(f"{source}: instance {missing} has no VA")
-    return Columns([item.key for item in items], va_array(values), source)
+    return Columns([item.key for item in items], values, source)
 
 
 class CandidatePool:
     """An ordered pool of 2..12 members covering the same pairs and instances.
 
-    Each pair and split is one (members, n, 2) tensor whose rows follow one
-    reference key list, the first member's keys de-duplicated, on both
-    splits (`dimasr ensemble` aligns each dev member file to the gold keys
-    as it reads it).  Members are aligned to it up front, so a file with a
-    duplicate, missing or extra key fails here, naming the file.  A test
-    pair is held only when every member has it.  The members are not kept,
-    only the names of their dev sources, which `search` errors give.
+    Each pair and split is one (members, n, 2) float64 tensor whose rows
+    follow one reference key list, the first member's keys de-duplicated,
+    on both splits (`dimasr ensemble` aligns each dev member file to the
+    gold keys as it reads it).  Members are drawn one at a time, so a
+    generator of members holds one member's rows at once, and aligned to
+    it, so a file with a duplicate, missing or extra key fails here, naming
+    the file.  A test pair is held only when every member has it.  Of the
+    members only their sources are kept, which errors name.
     """
 
-    def __init__(self, members: list[Member]):
-        if not 2 <= len(members) <= MAX_POOL_SIZE:
-            raise ValueError(f"pool size must be in [2, {MAX_POOL_SIZE}], "
-                             f"got {len(members)}")
-        self.ids = [m.id for m in members]
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError(f"duplicate member ids: {self.ids}")
-        pairs = set(members[0].dev)
-        for m in members[1:]:
+    def __init__(self, members: Iterable[Member]):
+        self.ids: list[str] = []
+        self.reference: dict[str, dict[PairID, Columns]] = {"dev": {}, "test": {}}
+        self.sources: dict[str, dict[PairID, list[str]]] = {"dev": {}, "test": {}}
+        arrays: dict[str, dict[PairID, list[np.ndarray]]] = {"dev": {}, "test": {}}
+        for m in members:
+            pairs = pairs if self.ids else set(m.dev)
             if set(m.dev) != pairs:
                 raise ValueError(f"member {m.id} covers pairs "
                                  f"{sorted(map(str, m.dev))}, expected "
                                  f"{sorted(map(str, pairs))}")
+            if m.id in self.ids:
+                raise ValueError(f"duplicate member ids: {self.ids + [m.id]}")
+            for split, held in arrays.items():
+                for pair, items in getattr(m, split).items():
+                    if pair not in pairs or self.ids and pair not in held:
+                        continue   # a test pair the first member lacks is not held
+                    cols = _columns(items, f"member {m.id} {split} {pair}")
+                    if not self.ids:   # keys only, unique: a repeat here fails below
+                        self.reference[split][pair] = cols._replace(
+                            keys=list(dict.fromkeys(cols.keys)), values=[])
+                    rows = align_columns(cols, self.reference[split][pair])
+                    # Flat, as np.array reads a list of tuples at half the speed.
+                    held.setdefault(pair, []).append(np.fromiter(
+                        chain.from_iterable(rows), np.float64, 2 * len(rows)).reshape(-1, 2))
+                    self.sources[split].setdefault(pair, []).append(cols.source)
+            self.ids.append(m.id)
+            del m   # free this member's rows before the next one is read
+        if not 2 <= len(self.ids) <= MAX_POOL_SIZE:
+            raise ValueError(f"pool size must be in [2, {MAX_POOL_SIZE}], "
+                             f"got {len(self.ids)}")
         self.pairs = sorted(pairs, key=pair_sort_key)
-        self.reference: dict[str, dict[PairID, Columns]] = {"dev": {}, "test": {}}
-        self.tensors: dict[str, dict[PairID, np.ndarray]] = {"dev": {}, "test": {}}
-        self.dev_sources: dict[PairID, list[str]] = {}
-        for split in self.tensors:
-            for pair in self.pairs:
-                if not all(pair in getattr(m, split) for m in members):
-                    continue
-                files = [_columns(getattr(m, split)[pair],
-                                  f"member {m.id} {split} {pair}")
-                         for m in members]
-                # Unique reference keys: a repeat in the reference file
-                # itself then shows up when that file is aligned to them.
-                ref = files[0]._replace(keys=list(dict.fromkeys(files[0].keys)))
-                self.reference[split][pair] = ref
-                self.tensors[split][pair] = np.stack(
-                    [align_columns(f, ref) for f in files])
-                if split == "dev":
-                    self.dev_sources[pair] = [f.source for f in files]
+        # Popped as stacked: each pair's member arrays go once copied.
+        self.tensors: dict[str, dict[PairID, np.ndarray]] = {
+            split: {pair: np.stack(held.pop(pair)) for pair in self.pairs
+                    if len(held.get(pair, ())) == len(self.ids)}
+            for split, held in arrays.items()}
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -181,27 +189,27 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list | Columns],
         if pair not in dev_gold:
             raise ValueError(f"no dev gold for pair {pair}")
         ref = pool.reference["dev"][pair]
-        gold_arr = align_columns(_columns(dev_gold[pair], f"dev gold {pair}"),
-                                 ref)
+        gold_rows = align_columns(_columns(dev_gold[pair], f"dev gold {pair}"),
+                                  ref)
         if not ref.keys:
             raise ValueError(f"no dev instances for pair {pair}")
         tensor = pool.tensors["dev"][pair][order]   # members sorted by id
+        gold = np.array(gold_rows, dtype=np.float64)
 
-        errors = (tensor - gold_arr).reshape(len(ids), -1)
+        errors = (tensor - gold).reshape(len(ids), -1)
         gram = errors @ errors.T
         n = len(ref.keys)
         mse = ((membership @ gram) * membership).sum(axis=1) / (n * sizes ** 2)
         if not np.isfinite(mse).all():   # inf, or inf * 0 = nan: no argmin
             worst = order[int(np.argmax(gram.diagonal()))]
-            raise ParseError(f"{pool.dev_sources[pair][worst]}: pair {pair}: "
+            raise ParseError(f"{pool.sources['dev'][pair][worst]}: pair {pair}: "
                              f"squared dev error passes the float range")
         # Gram scores round at the scale of the errors, direct averaging at
         # the scale of the values themselves; the tolerance covers both with
         # a wide margin, so the direct-path argmin is always re-scored.
         worst = np.sqrt(gram.diagonal().max() / n)
-        scale = max(np.abs(tensor).max(), np.abs(gold_arr).max())
+        scale = max(np.abs(tensor).max(), np.abs(gold).max())
         tol = 1e-9 * worst * (worst + scale)
-        gold_rows = gold_arr.tolist()
         best = min(
             (rmse_va(tensor[rows].mean(axis=0).tolist(), gold_rows), len(rows),
              tuple(ids[j] for j in rows))
@@ -211,14 +219,17 @@ def search(pool: CandidatePool, dev_gold: dict[PairID, list | Columns],
     return EnsembleSelection(per_pair=per_pair, member_ids=pool.ids)
 
 
+# An average that passes the float range raises naming the pair, the record
+# and the members' files; numpy's own warning would say less.
+@np.errstate(over="ignore", invalid="ignore")
 def apply(selection: EnsembleSelection, pool: CandidatePool,
-          split: str) -> dict[PairID, np.ndarray]:
-    """Average each pair's selected members on the requested split: (n, 2)
-    values whose rows follow `pool.reference[split][pair].keys`."""
+          split: str) -> dict[PairID, list[tuple[float, float]]]:
+    """Average each pair's selected members on the requested split:
+    (valence, arousal) rows that follow `pool.reference[split][pair].keys`."""
     if split not in ("dev", "test"):
         raise ValueError(f"split must be 'dev' or 'test', got {split!r}")
     ids = pool.ids
-    out: dict[PairID, np.ndarray] = {}
+    out: dict[PairID, list[tuple[float, float]]] = {}
     for pair, entry in selection.per_pair.items():
         if not entry.subset:
             raise ValueError(f"cannot average an empty subset for pair {pair}")
@@ -226,5 +237,12 @@ def apply(selection: EnsembleSelection, pool: CandidatePool,
             raise ValueError(f"some member has no {split} predictions for "
                              f"pair {pair}")
         rows = [ids.index(mid) for mid in entry.subset]   # names an unknown id
-        out[pair] = pool.tensors[split][pair][rows].mean(axis=0)
+        average = pool.tensors[split][pair][rows].mean(axis=0)
+        bad = np.flatnonzero(~np.isfinite(average).all(axis=1))
+        if bad.size:
+            key = pool.reference[split][pair].keys[bad[0]]
+            files = ", ".join(pool.sources[split][pair][j] for j in rows)
+            raise ParseError(f"pair {pair}: record {bad[0]} {key}: the average of "
+                             f"{files} passes the float range")
+        out[pair] = list(map(tuple, average.tolist()))
     return out

@@ -19,31 +19,24 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def va_array(values) -> np.ndarray:
-    """Coerce lists of VAScores or other rows, or arrays, to an (n, 2) float array."""
+def va_array(values: list) -> np.ndarray:
+    """(valence, arousal) rows, such as VAScores, as an (n, 2) float64 array;
+    rows of another width raise ValueError."""
     import numpy as np
-    if isinstance(values, np.ndarray):
-        arr = values.astype(np.float64)
-    else:
-        arr = np.array([tuple(v) for v in values], dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 2) if arr.size else arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected (n, 2) VA values, got shape {arr.shape}")
-    return arr
+    return np.array(values, dtype=np.float64).reshape(len(values), 2)
 
 
 class Columns(NamedTuple):
     """A prediction or gold file as columns: (ID, Aspect) keys in file order,
-    their VA values (an (n, 2) array, or a list of (valence, arousal) rows)
-    and the name error messages give the file."""
+    their (valence, arousal) float rows and the name error messages give
+    the file."""
 
     keys: list[tuple[str, str]]
-    values: np.ndarray | list
+    values: list[tuple[float, float]]
     source: str
 
 
-def align_columns(columns: Columns, ref: Columns) -> np.ndarray | list:
+def align_columns(columns: Columns, ref: Columns) -> list[tuple[float, float]]:
     """`columns.values` reordered to the keys of `ref`, whose keys are unique.
 
     Equal key lists return the values unchanged.  Otherwise each reference
@@ -64,9 +57,8 @@ def align_columns(columns: Columns, ref: Columns) -> np.ndarray | list:
         ref_keys = set(ref.keys)
         extra = next(k for k in columns.keys if k not in ref_keys)
         raise ParseError(f"{where}: first extra key {extra}")
-    index = [row[k] for k in ref.keys]
     values = columns.values
-    return [values[i] for i in index] if isinstance(values, list) else values[index]
+    return [values[row[k]] for k in ref.keys]
 
 
 def _as_rows(values) -> list:
@@ -127,10 +119,9 @@ class EvalReport(NamedTuple):
                           row("n", counts)])
 
 
-def evaluate(predictions: dict[PairID, np.ndarray | list],
-             gold: dict[PairID, np.ndarray | list]) -> EvalReport:
-    """Per-pair rmse_va plus the unweighted mean over pairs, from (n, 2)
-    predictions already aligned row for row with the gold (align_columns)."""
+def evaluate(predictions: dict[PairID, list], gold: dict[PairID, list]) -> EvalReport:
+    """Per-pair rmse_va plus the unweighted mean over pairs, from (valence,
+    arousal) rows already aligned row for row with the gold (align_columns)."""
     per_pair: dict[PairID, float] = {}
     n_per_pair: dict[PairID, int] = {}
     for pair in sorted(gold, key=pair_sort_key):

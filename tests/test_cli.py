@@ -963,13 +963,13 @@ class TestPredictionFiles:
     def test_write_then_load_round_trips(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("rt") / "aaa-res.json"
         keys = [(rid, aspect) for rid, aspect, _, _ in records]
-        values = np.array([(v, a) for _, _, v, a in records],
-                          dtype=np.float64).reshape(-1, 2)
-        cli.write_predictions(path, keys, values.tolist())
-        got_keys, got_values = cli.load_predictions(path)
-        assert got_keys == keys
-        assert got_values.dtype == np.float64 and got_values.shape == values.shape
-        assert got_values.tobytes() == values.tobytes()
+        rows = [(v, a) for _, _, v, a in records]
+        cli.write_predictions(path, keys, rows)
+        got = cli.load_predictions(path)
+        assert got.keys == keys and got.source == str(path)
+        assert all(type(row) is tuple and len(row) == 2 for row in got.values)
+        assert [tuple(map(float.hex, row)) for row in got.values] == \
+               [tuple(map(float.hex, row)) for row in rows]
 
     @pytest.mark.parametrize("va, detail", [
         ("5.0", "not a 'v#a' string: '5.0'"),

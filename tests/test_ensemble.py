@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimasr import cli
 from dimasr.corpus import PairID, ParseError, VAScore
 from dimasr.ensemble import (
     CandidatePool,
@@ -127,6 +128,23 @@ class TestPoolValidation:
             np.testing.assert_array_equal(
                 pool.tensors["dev"][pair],
                 [va_array([p.va for p in m.dev[pair]]) for m in (a, b)])
+
+    def test_tensors_are_float64_members_by_rows(self):
+        members, _ = make_members(3)
+        pool = CandidatePool(iter(members))   # drawn one member at a time
+        for split in ("dev", "test"):
+            for pair in PAIRS:
+                tensor = pool.tensors[split][pair]
+                n = len(getattr(members[0], split)[pair])
+                assert tensor.dtype == np.float64 and tensor.shape == (3, n, 2)
+
+    def test_empty_pair_file_gives_an_empty_tensor(self, tmp_path):
+        path = tmp_path / f"{PAIRS[0]}.json"
+        path.write_text("[]", encoding="utf-8")
+        pool = CandidatePool(Member(id=mid, dev={PAIRS[0]: cli.load_predictions(path)})
+                             for mid in ("M1", "M2"))
+        tensor = pool.tensors["dev"][PAIRS[0]]
+        assert tensor.dtype == np.float64 and tensor.shape == (2, 0, 2)
 
     def test_duplicate_in_first_test_member_rejected(self):
         # The first member's test file is the reference; a repeated key in
@@ -459,6 +477,17 @@ class TestApply:
             score = rmse_va([keyed[i.key] for i in gold[pair]],
                             [i.gold for i in gold[pair]])
             assert score == selection.per_pair[pair].dev_rmse
+
+    def test_rows_equal_the_tensor_mean_bit_for_bit(self):
+        pool, gold = make_pool(5)
+        selection = search(pool, gold, min_size=3)
+        for split in ("dev", "test"):
+            for pair, rows in apply_selection(selection, pool, split).items():
+                chosen = [pool.ids.index(mid) for mid in selection.per_pair[pair].subset]
+                mean = pool.tensors[split][pair][chosen].mean(axis=0)
+                assert all(type(row) is tuple for row in rows)
+                assert [tuple(map(float.hex, row)) for row in rows] == \
+                       [tuple(map(float.hex, row)) for row in mean.tolist()]
 
     def test_single_pair_selection(self):
         pool, gold = make_pool(3, pairs=PAIRS[:1])

@@ -2,7 +2,8 @@
 corruption) rows.  Each row runs the stage as a user does, in a fresh
 `python -m dimasr.cli` process, and must end with a non-zero exit, exactly
 one non-INFO stderr line (an `error:` line naming the file, flag or entry
-at fault) and no `--out` directory."""
+at fault) and `--out` as it was before: no directory, or, for a row that
+places `--out` around one of its inputs, the same files."""
 
 import json
 import os
@@ -23,8 +24,9 @@ ENCODER = {"backend": "toy-deterministic", "template": "bert-style",
 ENTRY = {"batch_size": 8, "learning_rate": 0.01, "max_epochs": 1,
          "bounded": True}
 
-# name: the stage's argv before --out, and the texts its error line must
-# hold; "{root}" stands for the inputs fixture's directory.
+# name: the stage's argv, and the texts its error line must hold; "{root}"
+# stands for the inputs fixture's directory.  A row without --out writes to
+# a fresh directory.
 ROWS = {
     "preprocess --pairs without file": (
         ["preprocess", "--input", "{root}/raw", "--pairs", "aaa-res,zzz-res"],
@@ -287,6 +289,24 @@ ROWS = {
         ["ensemble", "--dev-preds", "{root}/pool/dev", "--test-preds",
          "{root}/pool/test", "--dev-gold", "{root}/insts"],
         ["{root}/pool/test/M99", "{root}/pool/dev"]),
+    "ensemble --out inside --dev-preds": (
+        ["ensemble", "--dev-preds", "{root}/nest-pool", "--dev-gold", "{root}/insts",
+         "--out", "{root}/nest-pool/ens"],
+        ["--out {root}/nest-pool/ens", "--dev-preds directory {root}/nest-pool"]),
+    "evaluate --pred inside --out": (
+        ["evaluate", "--pred", "{root}/nest/preds", "--gold", "{root}/insts",
+         "--out", "{root}/nest"],
+        ["--pred {root}/nest/preds", "--out {root}/nest"]),
+    "train --config inside --out": (
+        ["train", "--data", "{root}/insts", "--config", "{root}/nest-config/run/one.json",
+         "--out", "{root}/nest-config"],
+        ["--config {root}/nest-config/run/one.json", "--out {root}/nest-config"]),
+    "ensemble test average 1.5e308#5.0": (
+        ["ensemble", "--dev-preds", "{root}/big-pool/dev", "--test-preds",
+         "{root}/big-pool/test", "--dev-gold", "{root}/insts"],
+        [f"pair {SYNTH_PAIRS[0]}: record 1",
+         f"{{root}}/big-pool/test/M1/{SYNTH_PAIRS[0]}.json",
+         f"{{root}}/big-pool/test/M2/{SYNTH_PAIRS[0]}.json", "float range"]),
 }
 
 
@@ -404,6 +424,14 @@ def inputs(tmp_path_factory):
     for member in ("M1", "M2"):   # subsets without M3 multiply its inf by 0
         shutil.copytree(root / "preds/M1", root / "huge-pool" / member)
     rewrite(root / "preds/M1", root / "huge-pool/M3", set_field("VA", "1e200#5.0"))
+    for member in ("M1", "M2"):   # finite apart, their sum passes the float range
+        shutil.copytree(root / "preds/M1", root / "nest-pool" / member)
+        shutil.copytree(root / "preds/M1", root / "big-pool/dev" / member)
+        rewrite(root / "preds/M1", root / "big-pool/test" / member,
+                set_field("VA", "1.5e308#5.0"))
+    shutil.copytree(root / "preds/M1", root / "nest/preds")
+    (root / "nest-config/run").mkdir(parents=True)
+    shutil.copy(root / "one.json", root / "nest-config/run/one.json")
     rewrite(root / "insts", root / "no-va",
             lambda rows: [{k: v for k, v in r.items() if k != "VA"} for r in rows])
     rewrite(root / "insts", root / "one-record",
@@ -466,11 +494,14 @@ def inputs(tmp_path_factory):
 def test_bad_input_stops_with_one_line(inputs, tmp_path, name):
     argv, expected = ROWS[name]
     argv = [arg.format(root=inputs) for arg in argv]
-    out = tmp_path / "out"
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    out = Path(argv[argv.index("--out") + 1])
+    before = files_under(out)
     path = os.pathsep.join(filter(None, [str(SRC_ROOT),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "dimasr.cli", *argv, "--out", str(out)],
+        [sys.executable, "-m", "dimasr.cli", *argv],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
         text=True, timeout=120)
     assert proc.returncode != 0
@@ -479,4 +510,9 @@ def test_bad_input_stops_with_one_line(inputs, tmp_path, name):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     for text in expected:
         assert text.format(root=inputs) in lines[0]
-    assert not out.exists()
+    assert files_under(out) == before
+
+
+def files_under(out: Path) -> list[Path] | None:
+    """The paths under `out`, or None when there is no such directory."""
+    return sorted(out.rglob("*")) if out.exists() else None
