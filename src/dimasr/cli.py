@@ -115,11 +115,21 @@ def _check_pair(path: Path, rows: list[dict]) -> None:
                                                 f"named for {pair!r}")
 
 
+def _check_strings(path: Path, i: int, row: dict, names: tuple[str, ...]) -> None:
+    """A ParseError naming record i's first non-string of `names`, or blank ID or Aspect."""
+    for name in names:
+        if not isinstance(row.get(name), str):
+            raise record_error(path, i, name, "not a string" if name in row else "missing")
+    for name in ("ID", "Aspect"):   # a blank Aspect has no token to encode
+        if not row[name].strip():
+            raise record_error(path, i, name, "blank")
+
+
 def load_instances(path: Path) -> list[Instance]:
     """Instances of a per-pair file.  A record that is not an object, an ID,
     Text or Aspect that is missing or not a string, a blank ID or Aspect, a
-    bad VA or Pair or a repeated (ID, Aspect) key is a ParseError naming the
-    record."""
+    bad or non-string VA, a bad Pair or a repeated (ID, Aspect) key is a
+    ParseError naming the record."""
     pair = _file_pair(path)
     rows = read_json(path)
     if not isinstance(rows, list):
@@ -128,13 +138,9 @@ def load_instances(path: Path) -> list[Instance]:
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ParseError(f"{path}: record {i}: not an object")
-        for name in ("ID", "Text", "Aspect"):
-            if not isinstance(row.get(name), str):
-                detail = "not a string" if name in row else "missing"
-                raise record_error(path, i, name, detail)
-        for name in ("ID", "Aspect"):   # a blank Aspect has no token to encode
-            if not row[name].strip():
-                raise record_error(path, i, name, "blank")
+        _check_strings(path, i, row, ("ID", "Text", "Aspect"))
+        if not isinstance(row.get("VA", ""), str):
+            raise record_error(path, i, "VA", f"not a 'v#a' string: {row['VA']!r}")
         try:
             gold = parse_va(row["VA"]) if "VA" in row else None
         except ParseError as exc:
@@ -157,9 +163,9 @@ def write_predictions(path: Path, keys: list[tuple[str, str]],
 def load_predictions(path: Path) -> metrics.Columns:
     """A prediction (or gold instance) file as columns: its (ID, Aspect) keys
     in file order and their (valence, arousal) float rows, read without
-    numpy.  A top level that is not an array, or a record without a string
-    ID and Aspect or a finite "v#a" VA in ASCII decimals, or with a bad
-    Pair, is a ParseError naming the path, the record and the field."""
+    numpy.  A top level that is not an array, or a record without a nonblank
+    string ID and Aspect or a finite "v#a" VA in ASCII decimals, or with a
+    bad Pair, is a ParseError naming the path, the record and the field."""
     from .metrics import Columns
     rows = read_json(path)
     if not isinstance(rows, list):
@@ -180,10 +186,12 @@ def load_predictions(path: Path) -> metrics.Columns:
         raise ParseError(f"{path}: record {i}: not an object") from None
     except (AttributeError, ValueError):
         raise record_error(path, i, "VA", f"not a 'v#a' string: {rows[i]['VA']!r}") from None
-    for i, (rid, aspect) in enumerate(keys):
-        if not (isinstance(rid, str) and isinstance(aspect, str)):
-            raise record_error(path, i, "Aspect" if isinstance(rid, str) else "ID",
-                               "not a string")
+    try:   # one pass over every key; only a fault takes the loop that names it
+        keys_ok = all(map(str.strip, chain.from_iterable(keys)))
+    except TypeError:
+        keys_ok = False
+    for i, row in enumerate(() if keys_ok else rows):
+        _check_strings(path, i, row, ("ID", "Aspect"))
     if not all(map(math.isfinite, chain.from_iterable(values))):
         i = next(j for j, va in enumerate(values) if not all(map(math.isfinite, va)))
         raise record_error(path, i, "VA", f"non-finite VA value {rows[i]['VA']!r}")
@@ -506,14 +514,11 @@ def _load_columns(files: dict[PairID, Path], gold: dict[PairID, metrics.Columns]
 
 def _check_gold(gold: dict[PairID, metrics.Columns]) -> dict[PairID, metrics.Columns]:
     """Gold columns per pair, read like prediction files: a file without
-    records, a record without VA, as in a test split, a blank ID, a VA
-    preprocessing drops or a repeated (ID, Aspect) key is a ParseError."""
+    records, a record without VA, as in a test split, a VA preprocessing
+    drops or a repeated (ID, Aspect) key is a ParseError."""
     for g in gold.values():
         if not g.keys:
             raise ParseError(f"{g.source}: no records to score against")
-        for i, (rid, _) in enumerate(g.keys):
-            if not rid.strip():
-                raise record_error(g.source, i, "ID", "blank")
         for i, va in enumerate(g.values):
             if not corpus.VAScore(*va).in_range():
                 raise record_error(g.source, i, "VA", f"{format_va(*va)} outside "

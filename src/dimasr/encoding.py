@@ -15,10 +15,10 @@ Toy encoding rule
 Tokens are produced by whitespace/punctuation splitting; each surface token
 maps to an id via a seeded BLAKE2 hash into [3, vocab_size).  Ids 0/1/2 are
 reserved for padding, the leading special token, and the separator.  Every
-non-pad token id t deterministically owns a feature vector v(t) drawn
-uniform(-1, 1)^d from a generator seeded with (seed, t), numpy's
-default_rng([seed, t]).uniform(-1.0, 1.0, d), and the embedding of a
-sequence is the positionally weighted mean
+non-pad token id t deterministically owns a feature vector v(t) in
+[-1, 1)^d, -1 + 2 * draw((seed, TOKENS, t), (d,)): d uniform doubles from the
+keyed SplitMix64 draw below, which all of dimasr's randomness but the
+validation split comes from.  The embedding of a sequence is the weighted mean
 
     embed(tokens) = sum_p w_p * v(tokens[p]) / max(1, #non-pad),  w_p = 1/(1+p)
 
@@ -30,6 +30,7 @@ features so the training loop has encoder-side gradients.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, asdict, field
 from functools import cache, lru_cache
@@ -137,115 +138,50 @@ def _template(aspect_ids: list[int], text_ids: list[int], spec: EncoderSpec) -> 
     return seq
 
 
-# Kept only for perfbench/tracer.py, which reads its cache_info(); the
-# encoder draws through _token_table.
+# The purpose word after the seed in each key: no two kinds of draw share a stream.
+TOKENS, HEAD, ORDER, DROPOUT = range(4)
+_MASK64 = 2**64 - 1
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)   # SplitMix64's increment
+
+
+def _mix(z):
+    """SplitMix64's finalizer, on an int below 2**64 or a uint64 array."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def draw(key: tuple, shape) -> np.ndarray:
+    """Uniform [0, 1) doubles with 53 random bits, a pure function of `key`:
+    element i, in C order, is the i-th SplitMix64 output of a stream whose
+    state is the key's words folded as state = mix(state ^ word) from the
+    increment (0 is a fixed point of mix).  An int below 2**64 is one word;
+    a wider one its word count, then its 64-bit words low first.  The last
+    word may be an array of m ints below 2**64, one stream each, with
+    `shape` (m, width)."""
+    *words, ids = key if isinstance(key[-1], np.ndarray) else (*key, None)
+    state = int(_GOLDEN)
+    for word in words:
+        parts = [word >> at & _MASK64 for at in range(0, max(1, word.bit_length()), 64)]
+        for part in parts if len(parts) == 1 else (len(parts), *parts):
+            state = _mix(state ^ part)
+    if ids is None:
+        state, width = np.array([state], dtype=np.uint64), math.prod(shape)
+    else:
+        state, width = _mix(ids.astype(np.uint64) ^ np.uint64(state)), shape[-1]
+    raw = _mix(state[:, None] + np.arange(1, width + 1, dtype=np.uint64) * _GOLDEN)
+    return ((raw >> np.uint64(11)) * 2.0 ** -53).reshape(shape)
+
+
+def _token_table(ids: np.ndarray, d: int, seed: int) -> np.ndarray:
+    """Row i is the uniform [-1, 1)^d feature vector of token id ids[i]."""
+    return -1.0 + 2.0 * draw((seed, TOKENS, ids), (len(ids), d))
+
+
 @lru_cache(maxsize=200_000)
 def _cached_token_vector(tok: int, d: int, seed: int) -> np.ndarray:
-    """The fixed uniform(-1,1)^d feature vector owned by a non-pad token id."""
-    vec = np.random.default_rng([seed, tok]).uniform(-1.0, 1.0, d)
-    vec.flags.writeable = False
-    return vec
-
-
-# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 (pcg64.h).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
-
-
-def _uint32_words(n: int) -> list[int]:
-    """A non-negative int as SeedSequence splits it: 32-bit words, low first."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's hashmix on uint32 arrays.  Its running constant
-    advances once per call, the same for every row."""
-    const = init
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> np.uint32(16)
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return r ^ r >> np.uint32(16)
-
-
-def _seed_state(ids: np.ndarray, seed: int) -> list[np.ndarray]:
-    """SeedSequence([seed, id]).generate_state(4, uint64) for each id, as
-    four uint64 arrays."""
-    n = len(ids)
-    seed_words = [np.full(n, w, dtype=np.uint32) for w in _uint32_words(seed)]
-    id_hi = (ids >> np.uint64(32)).astype(np.uint32)
-    entropy = seed_words + [ids.astype(np.uint32), id_hi]
-    length = len(seed_words) + np.where(id_hi != 0, 2, 1)
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    # A missing entropy word hashes as 0, as does an id's zero high word.
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32))
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, len(entropy)):
-        live = length > src
-        for dst in range(_POOL_SIZE):
-            pool[dst] = np.where(live, _mix(pool[dst], hashmix(entropy[src])),
-                                 pool[dst])
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    return [state[i] | state[i + 1] << np.uint64(32) for i in range(0, 8, 2)]
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    """a + b mod 2**128 on (hi, lo) uint64 arrays."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < b_lo), lo
-
-
-def _pcg64_step(hi, lo, inc_hi, inc_lo):
-    """One step of PCG64's 128-bit LCG, state * mult + inc mod 2**128, on
-    (hi, lo) uint64 arrays."""
-    m32, s32 = np.uint64(_MASK32), np.uint64(32)
-    mult_lo = np.uint64(_PCG_MULT_LO)
-    m0, m1 = np.uint64(_PCG_MULT_LO & _MASK32), np.uint64(_PCG_MULT_LO >> 32)
-    # High 64 bits of lo * mult_lo, in 32-bit limbs.
-    l0, l1 = lo & m32, lo >> s32
-    t = l1 * m0 + (l0 * m0 >> s32)
-    w = l0 * m1 + (t & m32)
-    carry_hi = l1 * m1 + (t >> s32) + (w >> s32)
-    hi = carry_hi + lo * np.uint64(_PCG_MULT_HI) + hi * mult_lo
-    return _add128(hi, lo * mult_lo, inc_hi, inc_lo)
-
-
-def _token_table(ids, d: int, seed: int) -> np.ndarray:
-    """Row i is default_rng([seed, ids[i]]).uniform(-1.0, 1.0, d), bit for
-    bit, for every id at once."""
-    ids = np.asarray(ids, dtype=np.uint64)
-    s_hi, s_lo, i_hi, i_lo = _seed_state(ids, seed)
-    # PCG64 seeding: inc = (i << 1) | 1; state = inc + s, stepped twice in all.
-    inc_hi = i_hi << np.uint64(1) | i_lo >> np.uint64(63)
-    inc_lo = i_lo << np.uint64(1) | np.uint64(1)
-    hi, lo = _pcg64_step(*_add128(inc_hi, inc_lo, s_hi, s_lo), inc_hi, inc_lo)
-    raw = np.empty((len(ids), d), dtype=np.uint64)
-    for k in range(d):
-        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-        # XSL-RR output: rotate hi ^ lo right by the top 6 bits of hi.
-        x, rot = hi ^ lo, hi >> np.uint64(58)
-        raw[:, k] = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
-    return -1.0 + 2.0 * ((raw >> np.uint64(11)) * 2.0 ** -53)
+    """Kept only for perfbench/tracer.py, which reads its cache_info(); read-only, shared."""
+    return np.frombuffer(_token_table(np.array([tok]), d, seed).tobytes())
 
 
 def _toy_rows(rows, n: int, d: int, seed: int) -> np.ndarray:

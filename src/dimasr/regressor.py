@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import VA_MAX, VA_MIN, check_fields
+from .encoding import HEAD, draw
 
 _INSIDE_LO = np.nextafter(VA_MIN, VA_MAX)   # the bounds one ulp inside
 _INSIDE_HI = np.nextafter(VA_MAX, VA_MIN)
@@ -76,14 +77,8 @@ class HeadParams:
 def init_head(d: int, seed: int, dropout_rate: float, bounded: bool) -> HeadParams:
     """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) weights, zero bias."""
     lim = 1.0 / np.sqrt(d)
-    rng = np.random.default_rng(seed)
-    return HeadParams(W=rng.uniform(-lim, lim, (2, d)), b=np.zeros(2),
+    return HeadParams(W=-lim + 2.0 * lim * draw((seed, HEAD), (2, d)), b=np.zeros(2),
                       dropout_rate=dropout_rate, bounded=bounded)
-
-
-def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    # Inverted dropout: keep-mask scaled by 1/(1-rate) so E[mask * x] = x.
-    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def mse_loss(pred, gold):
@@ -102,12 +97,14 @@ def mse_loss(pred, gold):
 
 def forward_cached(feats: np.ndarray, params: HeadParams,
                    projection: np.ndarray | None = None,
-                   rng: np.random.Generator | None = None,
+                   dropout: np.ndarray | None = None,
                    train: bool = True) -> tuple[np.ndarray, dict]:
     """The head's forward pass over (n, d) features; caches intermediates.
 
     feats -> e = feats @ A^T (if projection A given) -> dropout (train only)
-    -> head -> bound (if bounded).  The cache feeds backward().
+    -> head -> bound (if bounded).  The cache feeds backward().  Inverted
+    dropout keeps the elements whose `dropout` draw, one uniform [0, 1) per
+    element of e, reaches the rate, scaled so E[mask * e] = e.
     """
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     e = feats if projection is None else feats @ projection.swapaxes(-1, -2)
@@ -116,9 +113,9 @@ def forward_cached(feats: np.ndarray, params: HeadParams,
             f"feature size {e.shape[-1]} does not match head size {params.hidden_size}")
     mask, h = 1.0, e   # no dropout: e * 1.0 would equal e bit for bit
     if train and params.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training forward with dropout needs an rng")
-        mask = _dropout_mask(e.shape[-2:], params.dropout_rate, rng)
+        if dropout is None or dropout.shape != e.shape[-2:]:
+            raise ValueError(f"training with dropout needs {e.shape[-2:]} uniform draws")
+        mask = (dropout >= params.dropout_rate) / (1.0 - params.dropout_rate)
         h = e * mask
     y = h @ params.W.swapaxes(-1, -2) + params.b[..., None, :]
     if params.bounded:

@@ -4,7 +4,7 @@ One run = AdamW over the head (and the toy encoder's trainable projection)
 with per-epoch seeded batch shuffling, validation RMSE after every epoch,
 and early stopping with best-epoch weight restore.  Everything about a run
 is a pure function of (data, config, seed): two runs with identical inputs
-produce byte-identical checkpoints.
+produce byte-identical checkpoints; every draw is an `encoding.draw`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import encoding, log, metrics, regressor
 from .corpus import REGIMES, Instance, ParseError, build, check_fields
-from .encoding import EncoderSpec
+from .encoding import DROPOUT, ORDER, EncoderSpec, draw
 
 # AdamW constants; unstated by the protocol, fixed here and recorded in every
 # checkpoint header as OPTIMIZER, which `load` requires.
@@ -271,7 +271,7 @@ def _train_stack(encoded: tuple[Encoded, Encoded | None],
                  ) -> list[Checkpoint | TrainingError]:
     """Train configs that share batch size, seed, dropout rate and head type
     as one stack, each bit for bit as its own run would: they start from one
-    head and draw the same permutations and dropout masks.  Their parameters
+    head and draw the same orders and dropout masks.  Their parameters
     are the rows of one buffer, each laid out as a checkpoint's payload, so
     one forward, backward and AdamW step per batch serve them all.  A config
     leaves the stack at the end of the epoch that gives it a result.  Returns
@@ -285,7 +285,6 @@ def _train_stack(encoded: tuple[Encoded, Encoded | None],
     decay = np.ones(buf.shape[1])
     _unflatten(decay, d, trainable)[1][:] = 0.0   # the head's bias is not decayed
     opt = AdamW(np.array([[c.learning_rate] for c in configs]), decay)
-    rng = np.random.default_rng(first.seed)
     stoppers = [EarlyStopping(c.patience) for c in configs]
     best, results = [None] * len(configs), [None] * len(configs)
     history: list[list[dict]] = [[] for _ in configs]
@@ -296,12 +295,15 @@ def _train_stack(encoded: tuple[Encoded, Encoded | None],
         W, b, projection = _unflatten(buf, d, trainable)
         head = regressor.HeadParams(W=W, b=b, dropout_rate=first.dropout_rate,
                                     bounded=first.bounded)
-        order = rng.permutation(len(feats))
+        order = np.argsort(draw((first.seed, ORDER, epoch), (len(feats),)),
+                           kind="stable")
+        block = draw((first.seed, DROPOUT, epoch), feats.shape)
         loss_sum = np.zeros(len(live))
         for step, start in enumerate(range(0, len(feats), first.batch_size)):
-            idx = order[start:start + first.batch_size]
-            pred, cache = regressor.forward_cached(
-                feats[idx], head, projection, rng=rng, train=True)
+            rows = slice(start, start + first.batch_size)
+            idx = order[rows]
+            pred, cache = regressor.forward_cached(feats[idx], head, projection,
+                                                   block[rows], train=True)
             loss = regressor.mse_loss(pred, golds[idx])
             grads = regressor.backward(cache, golds[idx])
             opt.step(buf, np.concatenate([g.reshape(len(live), -1)

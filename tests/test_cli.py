@@ -954,11 +954,12 @@ class TestFlagValidation:
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+unblank = st.text().filter(str.strip)   # a blank ID or Aspect is refused
 
 
 class TestPredictionFiles:
     @settings(max_examples=100, deadline=None)
-    @given(records=st.lists(st.tuples(st.text(), st.text(), finite, finite),
+    @given(records=st.lists(st.tuples(unblank, unblank, finite, finite),
                             max_size=20))
     def test_write_then_load_round_trips(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("rt") / "aaa-res.json"
@@ -1065,7 +1066,7 @@ class TestStageImports:
     """preprocess, submit and evaluate never touch an array, a dataclass or
     a logger, so they run without loading numpy, dataclasses (and with it
     inspect) or logging; train imports the layers it needs when it runs,
-    and not numpy.ma.  Modules count only when the stage added them, so a
+    and not numpy.ma, and no stage loads numpy.random.  Modules count only when the stage added them, so a
     site hook that imports one of them at start-up changes nothing."""
 
     SCRIPT = """
@@ -1115,6 +1116,38 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
                                     "submit": [], "evaluate": [],
                                     "train": True, "train numpy.ma": False}
         assert sorted(p.name for p in (work / "ckpts").glob("*.ckpt")) == ["M1.ckpt"]
+
+    NUMPY_STAGES = """
+import json, sys
+import numpy
+eager = "numpy.random" in sys.modules   # numpy before 1.25 loads it on import
+from dimasr import cli
+raw, config, work = sys.argv[1:]
+codes = [cli.main(argv) for argv in (
+    ["preprocess", "--input", raw, "--out", work + "/insts"],
+    ["train", "--data", work + "/insts", "--out", work + "/ckpts", "--config", config],
+    ["predict", "--ckpts", work + "/ckpts", "--data", work + "/insts",
+     "--out", work + "/preds"],
+    ["ensemble", "--dev-preds", work + "/preds", "--dev-gold", work + "/insts",
+     "--out", work + "/ens"])]
+print(json.dumps({"codes": codes, "eager": eager,
+                  "loaded": "numpy.random" in sys.modules}))
+"""
+
+    def test_no_stage_loads_numpy_random(self, tmp_path):
+        # Every draw is encoding.draw's; numpy's Generator is never needed.
+        raw = write_raw_dir(tmp_path / "raw", n_records=6, seed=3)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**RUN_CONFIG, "grid": TINY_GRID}),
+                          encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.NUMPY_STAGES, str(raw), str(config),
+             str(tmp_path / "work")],
+            env=python_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0, 0, 0, 0]
+        assert result["loaded"] == result["eager"]
 
 
 class TestStderrLines:

@@ -7,16 +7,21 @@ from hypothesis import strategies as st
 
 from dimasr import encoding
 from dimasr.encoding import (
+    DROPOUT,
     FIRST_SPECIAL_ID,
+    HEAD,
     N_RESERVED,
+    ORDER,
     PAD_ID,
     SEP_ID,
     TEMPLATE_BERT,
     TEMPLATE_ROBERTA,
+    TOKENS,
     EncoderSpec,
     EncodingError,
     SentencePairInput,
     apply_projection,
+    draw,
     format_pair,
     init_projection,
     instance_features,
@@ -29,6 +34,36 @@ from synth import WORDS, make_instances
 
 SPEC = EncoderSpec(max_len=32, hidden_size=8)
 RSPEC = EncoderSpec(template=TEMPLATE_ROBERTA, max_len=32, hidden_size=8)
+
+MASK64 = 2**64 - 1
+
+
+def splitmix64(key, n):
+    """The first n uniform doubles of the keyed draw, as `draw` documents
+    it, in plain int arithmetic: fold each key word through the finalizer
+    from the increment (a wide one as its count of 64-bit words, then those
+    words), then step the SplitMix64 stream."""
+    def mix(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+        return z ^ (z >> 31)
+    state = 0x9E3779B97F4A7C15
+    for word in key:
+        parts = [word & MASK64]
+        while word := word >> 64:
+            parts.append(word & MASK64)
+        for part in parts if len(parts) == 1 else [len(parts)] + parts:
+            state = mix(state ^ part)
+    out = []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        out.append((mix(state) >> 11) / 2**53)
+    return out
+
+
+def token_vector(seed, tok, d):
+    """The toy rule's feature vector of token id `tok`."""
+    return -1.0 + 2.0 * np.array(splitmix64((seed, TOKENS, tok), d))
 
 
 def rand_words(rng, lo, hi):
@@ -162,7 +197,7 @@ class TestToyEncode:
             seq = [PAD_ID] * 16
             seq[pos] = tok
             got = toy_encode(SentencePairInput(tokens=tuple(seq)), 8, 0)
-            expected = np.random.default_rng([0, tok]).uniform(-1, 1, 8) / (1 + pos)
+            expected = token_vector(0, tok, 8) / (1 + pos)
             np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
     def test_matches_independent_recomputation(self):
@@ -175,19 +210,19 @@ class TestToyEncode:
             vecs = []
             for pos, tok in enumerate(out.tokens):
                 if tok != PAD_ID:
-                    v = np.random.default_rng([seed, tok]).uniform(-1.0, 1.0, d)
+                    v = token_vector(seed, tok, d)
                     vecs.append(v / (1.0 + pos))
             expected = np.sum(vecs, axis=0) / max(1, len(vecs))
             np.testing.assert_allclose(toy_encode(out, d, seed), expected,
                                        atol=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 5, 2**40])
-    def test_width_one_equals_default_rng(self, seed):
+    def test_width_one_equals_the_keyed_draw(self, seed):
         # EncoderSpec admits hidden_size 1; the kernel has no floor of its own.
         out = format_pair("battery", "great battery life", SPEC)
         tokens = [t for t in out.tokens if t != PAD_ID]
-        expected = sum(np.random.default_rng([seed, t]).uniform(-1.0, 1.0, 1)
-                       / (1.0 + pos) for pos, t in enumerate(tokens)) / len(tokens)
+        expected = sum(token_vector(seed, t, 1) / (1.0 + pos)
+                       for pos, t in enumerate(tokens)) / len(tokens)
         assert toy_encode(out, 1, seed).tobytes() == expected.tobytes()
 
 
@@ -252,14 +287,15 @@ class TestEncodeBatch:
 
 
 def loop_oracle(tokens, d, seed):
-    """The toy rule as the per-row loop the batched encoder replaced; the
-    encoder's rows must equal it byte for byte."""
+    """The toy rule as the per-row loop the batched encoder replaced, one
+    token's vector at a time; the encoder's rows must equal it byte for
+    byte."""
     acc = np.zeros(d)
     n = 0
     for pos, tok in enumerate(tokens):
         if tok == PAD_ID:
             continue
-        acc += np.random.default_rng([seed, tok]).uniform(-1.0, 1.0, d) / (1.0 + pos)
+        acc += encoding._token_table(np.array([tok]), d, seed)[0] / (1.0 + pos)
         n += 1
     return acc / max(1, n)
 
@@ -307,28 +343,85 @@ class TestBatchedEncoderBitExact:
         assert_rows_match_oracle(toy_rows(rows.tolist(), 5, 3), rows.tolist(), 5, 3)
 
 
-def stacked_default_rng(ids, d, seed):
-    """One numpy generator per id, as the toy rule defines token vectors."""
-    return np.array([np.random.default_rng([seed, i]).uniform(-1.0, 1.0, d)
-                     for i in ids]).reshape(len(ids), d)
-
-
 class TestTokenTableBitExact:
-    # Seed and id words together cross SeedSequence's pool of 4 words: the
-    # seeds span 1 to 4 words and ids above 2**32 take 2.
+    # Seeds of one to two 64-bit words; ids across 32 bits.
     SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1]
 
     @settings(max_examples=80, deadline=None)
     @given(ids=st.lists(st.integers(N_RESERVED, 2**40), unique=True, max_size=40),
            d=st.integers(1, 64), seed=st.sampled_from(SEEDS))
-    def test_equals_default_rng(self, ids, d, seed):
+    def test_rows_equal_the_keyed_stream_of_each_id(self, ids, d, seed):
         got = encoding._token_table(np.array(ids, dtype=np.int64), d, seed)
         assert got.shape == (len(ids), d)
-        assert got.tobytes() == stacked_default_rng(ids, d, seed).tobytes()
+        for row, tok in zip(got, ids):
+            assert row.tobytes() == token_vector(seed, tok, d).tobytes()
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("ids", [[], [N_RESERVED], [2**32 - 1, 2**32, 2**40]])
     def test_edge_ids(self, ids, seed):
         got = encoding._token_table(np.array(ids, dtype=np.int64), 7, seed)
         assert got.shape == (len(ids), 7)
-        assert got.tobytes() == stacked_default_rng(ids, 7, seed).tobytes()
+        expected = [-1.0 + 2.0 * draw((seed, TOKENS, tok), (7,)) for tok in ids]
+        assert got.tobytes() == np.array(expected).reshape(len(ids), 7).tobytes()
+
+
+words = st.integers(0, 2**130)
+keys = st.lists(words, min_size=1, max_size=4).map(tuple)
+shapes = st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple)
+
+
+class TestDraw:
+    @settings(max_examples=80, deadline=None)
+    @given(key=keys, shape=shapes)
+    def test_equals_the_plain_int_stream(self, key, shape):
+        got = draw(key, shape)
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.ravel().tolist() == splitmix64(key, got.size)
+
+    @settings(max_examples=80, deadline=None)
+    @given(key=keys, shape=shapes)
+    def test_values_in_unit_interval_on_a_53_bit_grid(self, key, shape):
+        got = draw(key, shape)
+        assert np.all((got >= 0.0) & (got < 1.0))
+        assert np.array_equal(got * 2**53, np.floor(got * 2**53))
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=keys, b=keys)
+    def test_equal_keys_equal_values_different_keys_different_streams(self, a, b):
+        assert draw(a, (8,)).tobytes() == draw(a, (8,)).tobytes()
+        if a != b:
+            assert draw(a, (8,)).tobytes() != draw(b, (8,)).tobytes()
+
+    # A wide seed against its low word, and against narrow seeds that its
+    # 64-bit words would fold as without their count.
+    @pytest.mark.parametrize("seed, narrow", [(2**64 + 5, 5), (2**96 + 1, 1),
+                                              (2**64, 1), (2**64, 0)])
+    def test_wide_seed_draws_its_own_streams(self, seed, narrow):
+        for purpose in range(4):
+            for epoch in ((), (1,)):
+                assert draw((seed, purpose, *epoch), (4,)).tobytes() != \
+                    draw((narrow, purpose, *epoch), (4,)).tobytes()
+        ids = np.arange(N_RESERVED, 40)
+        assert not np.any(encoding._token_table(ids, 4, seed)
+                          == encoding._token_table(ids, 4, narrow))
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_purposes_never_share_a_stream(self, seed):
+        # Seed 0 too: the fold starts away from 0, which mix maps to itself.
+        firsts = [draw((seed, HEAD), (1,))[0],
+                  *draw((seed, TOKENS, np.arange(200)), (200, 1))[:, 0],
+                  *[draw((seed, purpose, epoch), (1,))[0]
+                    for purpose in (ORDER, DROPOUT) for epoch in range(1, 50)]]
+        assert len(set(firsts)) == len(firsts)
+
+    def test_each_id_of_an_array_draws_its_own_stream(self):
+        ids = np.array([N_RESERVED, 7, 2**40, 2**63 + 9], dtype=np.uint64)
+        got = draw((11, TOKENS, ids), (4, 5))
+        for row, tok in zip(got, ids.tolist()):
+            assert row.tobytes() == draw((11, TOKENS, tok), (5,)).tobytes()
+        assert len({row.tobytes() for row in got}) == 4
+
+    def test_uniform_moments(self):
+        u = draw((3, TOKENS, 1), (200_000,))
+        assert abs(u.mean() - 0.5) < 0.005
+        assert abs(u.var() - 1 / 12) < 0.002

@@ -250,6 +250,19 @@ ROWS = {
     "ensemble blank gold ID": (
         ["ensemble", "--dev-preds", "{root}/pool/dev", "--dev-gold", "{root}/blank-id"],
         [f"{{root}}/blank-id/{SYNTH_PAIRS[0]}.json", "record 1", "'ID'", "blank"]),
+    "submit blank prediction ID": (
+        ["submit", "--pred", "{root}/blank-id-preds"],
+        [f"{{root}}/blank-id-preds/{SYNTH_PAIRS[0]}.json", "record 1", "'ID'",
+         "blank"]),
+    "evaluate empty Aspect in gold and prediction files": (
+        ["evaluate", "--pred", "{root}/empty-aspect-preds", "--gold",
+         "{root}/empty-aspect"],
+        [f"{{root}}/empty-aspect/{SYNTH_PAIRS[0]}.json", "record 1", "'Aspect'",
+         "blank"]),
+    "train instance VA object": (
+        ["train", "--data", "{root}/object-va", "--config", "{root}/one.json"],
+        [f"{{root}}/object-va/{SYNTH_PAIRS[0]}.json", "record 1", "'VA'",
+         "not a 'v#a' string", "'Valence': 6.0"]),
     "train blank instance ID": (
         ["train", "--data", "{root}/blank-id", "--config", "{root}/one.json"],
         [f"{{root}}/blank-id/{SYNTH_PAIRS[0]}.json", "record 1", "'ID'", "blank"]),
@@ -406,12 +419,17 @@ def inputs(tmp_path_factory):
                          ("other-pair", set_field("Pair", SYNTH_PAIRS[1])),
                          ("low-gold", set_field("VA", "0.5#5")),
                          ("spaced-gold", set_field("VA", " 6.5 # \u0665 ")),
-                         ("blank-id", set_field("ID", " \t"))):
+                         ("blank-id", set_field("ID", " \t")),
+                         ("empty-aspect", set_field("Aspect", "")),
+                         ("object-va", set_field("VA", {"Valence": 6.0,
+                                                        "Arousal": 5.0}))):
         rewrite(root / "insts", root / name, change)
     long_aspect = set_field("Aspect", " ".join(["word"] * 200))
     rewrite(root / "insts", root / "long-aspect", long_aspect)
     rewrite(root / "insts", root / "long-aspect-2", long_aspect, SYNTH_PAIRS[1])
     rewrite(root / "preds/M1", root / "int-id-preds", set_field("ID", 5))
+    rewrite(root / "preds/M1", root / "blank-id-preds", set_field("ID", " "))
+    rewrite(root / "preds/M1", root / "empty-aspect-preds", set_field("Aspect", ""))
     rewrite(root / "preds/M1", root / "object-preds", lambda rows: rows[0])
     rewrite(root / "insts", root / "object-gold", lambda rows: rows[0])
     rewrite(root / "insts", root / "empty-gold", lambda rows: [])

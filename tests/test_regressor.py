@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dimasr.corpus import ParseError
-from dimasr.encoding import EncoderSpec
+from dimasr.encoding import DROPOUT, EncoderSpec, draw
 from dimasr.regressor import (
     HeadParams,
     backward,
@@ -36,8 +36,8 @@ class TestForward:
     def test_zero_dropout_train_equals_infer(self, rng):
         params = head(rng.normal(size=(2, 6)), rng.normal(size=2))
         e = rng.normal(size=(4, 6))
-        np.testing.assert_array_equal(forward_cached(e, params, rng=rng)[0],
-                                      predict(e, params))
+        np.testing.assert_array_equal(
+            forward_cached(e, params, dropout=rng.random((4, 6)))[0], predict(e, params))
 
     def test_matches_naive_matvec_oracle(self, rng):
         for _ in range(30):
@@ -55,10 +55,11 @@ class TestForward:
         with pytest.raises(ValueError, match="does not match"):
             predict(np.ones((2, 5)), params)
 
-    def test_train_mode_with_dropout_needs_rng(self):
+    def test_train_mode_with_dropout_needs_one_draw_per_element(self):
         params = head(np.zeros((2, 3)), np.zeros(2), dropout=0.5)
-        with pytest.raises(ValueError, match="rng"):
-            forward_cached(np.ones((2, 3)), params)
+        for dropout in (None, np.zeros((1, 3)), np.zeros((2, 4))):
+            with pytest.raises(ValueError, match=r"needs \(2, 3\) uniform draws"):
+                forward_cached(np.ones((2, 3)), params, dropout=dropout)
 
     def test_dropout_rate_bounds(self):
         with pytest.raises(ValueError):
@@ -225,10 +226,13 @@ class TestDropout:
         d, n = 8, 20_000
         params = head(rng.normal(size=(2, d)), rng.normal(size=2), dropout=0.3)
         e = rng.normal(size=(1, d))
-        draws, _ = forward_cached(np.tile(e, (n, 1)), params, rng=rng)
+        block = draw((0, DROPOUT, 1), (n, d))
+        draws, cache = forward_cached(np.tile(e, (n, 1)), params, dropout=block)
         target = predict(e, params)[0]
         se = draws.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - target) <= 3 * se + 1e-12)
+        # Inverted dropout: kept where the draw reaches the rate, scaled.
+        assert np.array_equal(cache["mask"], (block >= 0.3) / 0.7)
 
 
 class TestInit:
