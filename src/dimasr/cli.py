@@ -24,13 +24,14 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, corpus, log
 from .corpus import (REGIMES, Instance, PairID, ParseError, build, format_va,
-                     pair_sort_key, parse_va, read_json, record_error)
+                     pair_sort_key, read_json, record_error)
 
 if TYPE_CHECKING:
     from . import encoding, metrics, trainer
@@ -97,59 +98,11 @@ def _file_pair(path: Path) -> PairID:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _check_unique(path: Path, keys: list[tuple[str, str]]) -> None:
-    """A ParseError naming the record that repeats an earlier (ID, Aspect) key."""
-    first_at = {}
-    for i, key in enumerate(keys):
-        if first_at.setdefault(key, i) != i:
-            raise ParseError(f"{path}: record {i}: duplicate (ID, Aspect) key "
-                             f"{key}, first at record {first_at[key]}")
-
-
-def _check_pair(path: Path, rows: list[dict]) -> None:
-    """A ParseError naming the first record whose "Pair" is not the file's."""
-    pair = path.stem
-    for i, row in enumerate(rows):
-        if row.get("Pair", pair) != pair:
-            raise record_error(path, i, "Pair", f"{row['Pair']!r} in a file "
-                                                f"named for {pair!r}")
-
-
-def _check_strings(path: Path, i: int, row: dict, names: tuple[str, ...]) -> None:
-    """A ParseError naming record i's first non-string of `names`, or blank ID or Aspect."""
-    for name in names:
-        if not isinstance(row.get(name), str):
-            raise record_error(path, i, name, "not a string" if name in row else "missing")
-    for name in ("ID", "Aspect"):   # a blank Aspect has no token to encode
-        if not row[name].strip():
-            raise record_error(path, i, name, "blank")
-
-
 def load_instances(path: Path) -> list[Instance]:
-    """Instances of a per-pair file.  A record that is not an object, an ID,
-    Text or Aspect that is missing or not a string, a blank ID or Aspect, a
-    bad or non-string VA, a bad Pair or a repeated (ID, Aspect) key is a
-    ParseError naming the record."""
+    """Instances of a per-pair file, read by `corpus.walk` under
+    `corpus.INSTANCE`: a record it rejects is a ParseError naming it."""
     pair = _file_pair(path)
-    rows = read_json(path)
-    if not isinstance(rows, list):
-        raise ParseError(f"{path}: not a JSON array")
-    instances = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ParseError(f"{path}: record {i}: not an object")
-        _check_strings(path, i, row, ("ID", "Text", "Aspect"))
-        if not isinstance(row.get("VA", ""), str):
-            raise record_error(path, i, "VA", f"not a 'v#a' string: {row['VA']!r}")
-        try:
-            gold = parse_va(row["VA"]) if "VA" in row else None
-        except ParseError as exc:
-            raise record_error(path, i, "VA", str(exc)) from None
-        instances.append(Instance(id=row["ID"], text=row["Text"],
-                                  aspect=row["Aspect"], gold=gold, pair=pair))
-    _check_pair(path, rows)
-    _check_unique(path, [inst.key for inst in instances])
-    return instances
+    return corpus.walk(path, read_json(path), corpus.INSTANCE, pair)
 
 
 def write_predictions(path: Path, keys: list[tuple[str, str]],
@@ -160,43 +113,38 @@ def write_predictions(path: Path, keys: list[tuple[str, str]],
                       for (rid, aspect), (v, a) in zip(keys, values)])
 
 
+def _fast_columns(rows, pair: str) -> tuple[list, list] | None:
+    """The keys and (valence, arousal) float tuples of prediction records
+    `rows`, from a file named for `pair`, checked in a few C-level passes
+    over the whole file; None where any `corpus.PREDICTION` rule might fail."""
+    try:
+        keys = list(map(itemgetter("ID", "Aspect"), rows))
+        vas = list(map(itemgetter("VA"), rows))
+        parts = list(map(str.partition, vas, repeat("#")))
+        values = list(zip(map(float, map(itemgetter(0), parts)),
+                          map(float, map(itemgetter(2), parts))))
+        ok = (type(rows) is list and corpus.decimal_text("".join(vas))
+              and all(map(str.strip, chain.from_iterable(keys)))
+              and all(map(math.isfinite, chain.from_iterable(values)))
+              and len(set(keys)) == len(keys)
+              and set(map(dict.get, rows, repeat("Pair"), repeat(pair))) <= {pair})
+    except (KeyError, TypeError, ValueError):
+        return None
+    return (keys, values) if ok else None
+
+
 def load_predictions(path: Path) -> metrics.Columns:
     """A prediction (or gold instance) file as columns: its (ID, Aspect) keys
-    in file order and their (valence, arousal) float rows, read without
-    numpy.  A top level that is not an array, or a record without a nonblank
-    string ID and Aspect or a finite "v#a" VA in ASCII decimals, or with a
-    bad Pair, is a ParseError naming the path, the record and the field."""
+    in file order and their (valence, arousal) float tuples, read without
+    numpy.  Only a file `_fast_columns` declines takes `corpus.walk`, which
+    names the first fault under `corpus.PREDICTION`."""
     from .metrics import Columns
     rows = read_json(path)
-    if not isinstance(rows, list):
-        raise ParseError(f"{path}: not a JSON array")
-    keys, vas, values, i = [], [], [], 0
-    try:
-        for i, row in enumerate(rows):
-            keys.append((row["ID"], row["Aspect"]))
-            vas.append(row["VA"])
-            valence, _, arousal = vas[i].partition("#")
-            values.append((float(valence), float(arousal)))
-        if not corpus.decimal_text("".join(vas)):   # one pass for the file
-            i = next(j for j, va in enumerate(vas) if not corpus.decimal_text(va))
-            raise ValueError
-    except KeyError as exc:
-        raise record_error(path, i, exc.args[0], "missing") from None
-    except TypeError:
-        raise ParseError(f"{path}: record {i}: not an object") from None
-    except (AttributeError, ValueError):
-        raise record_error(path, i, "VA", f"not a 'v#a' string: {rows[i]['VA']!r}") from None
-    try:   # one pass over every key; only a fault takes the loop that names it
-        keys_ok = all(map(str.strip, chain.from_iterable(keys)))
-    except TypeError:
-        keys_ok = False
-    for i, row in enumerate(() if keys_ok else rows):
-        _check_strings(path, i, row, ("ID", "Aspect"))
-    if not all(map(math.isfinite, chain.from_iterable(values))):
-        i = next(j for j, va in enumerate(values) if not all(map(math.isfinite, va)))
-        raise record_error(path, i, "VA", f"non-finite VA value {rows[i]['VA']!r}")
-    _check_pair(path, rows)
-    return Columns(keys, values, str(path))
+    columns = _fast_columns(rows, path.stem)
+    if columns is None:
+        preds = corpus.walk(path, rows, corpus.PREDICTION)
+        columns = [p.key for p in preds], [tuple(p.va) for p in preds]
+    return Columns(*columns, str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +461,9 @@ def _load_columns(files: dict[PairID, Path], gold: dict[PairID, metrics.Columns]
 
 
 def _check_gold(gold: dict[PairID, metrics.Columns]) -> dict[PairID, metrics.Columns]:
-    """Gold columns per pair, read like prediction files: a file without
-    records, a record without VA, as in a test split, a VA preprocessing
-    drops or a repeated (ID, Aspect) key is a ParseError."""
+    """Gold columns per pair, read like prediction files (so a record
+    without VA, as in a test split, is already a ParseError): a file without
+    records or a VA preprocessing drops is a ParseError."""
     for g in gold.values():
         if not g.keys:
             raise ParseError(f"{g.source}: no records to score against")
@@ -523,7 +471,6 @@ def _check_gold(gold: dict[PairID, metrics.Columns]) -> dict[PairID, metrics.Col
             if not corpus.VAScore(*va).in_range():
                 raise record_error(g.source, i, "VA", f"{format_va(*va)} outside "
                                    f"[{corpus.VA_MIN}, {corpus.VA_MAX}]")
-        _check_unique(g.source, g.keys)
     return gold
 
 
@@ -637,8 +584,6 @@ def cmd_submit(args) -> int:
     stage = Stage("submit", args.out)
     files = stage.pair_files("pred", args.pred, pairs=args.pairs)
     read = {f: load_predictions(f) for f in files.values()}   # all before writing any
-    for f, cols in read.items():
-        _check_unique(f, cols.keys)
     total_clamped = 0
     for f, cols in read.items():
         total_clamped += write_submission(stage.output(f.name), cols.keys, cols.values,

@@ -5,16 +5,20 @@ Raw annotation files carry one record per review text, each with a list of
 flattens them into per-aspect regression instances, and provides the
 record-disjoint train/validation split and the multilingual training pool.
 
-Input file format (JSON array or JSONL, one object per record):
+Record files are JSON arrays (raw files may be JSONL) of objects.  Each
+kind declares its fields once below, and `walk` reads every record file
+(README, "Data format", defines the terms):
 
-    {"ID": "r12", "Text": "great battery, bad screen",
-     "Quadruplets": [{"Aspect": "battery", "Category": "LAPTOP#GENERAL",
-                      "Opinion": "great", "VA": "7.5#6.0"}, ...]}
-
-VA is the string "<valence>#<arousal>" in ASCII decimals; an object form
-{"Valence": 7.5, "Arousal": 6.0} is also accepted.  Test-set files use the
-same format with the VA field absent.  Category, Opinion and other keys are
-not read.
+    field        raw                 instance            prediction, gold
+    ID           required, nonblank  required, nonblank  required, nonblank
+    Text         required, string    required, string    -
+    Quadruplets  optional, list      -                   -
+    Aspect       entry: optional,    required, nonblank  required, nonblank
+                 nonblank or null
+    VA           entry: optional,    optional, v#a       required, v#a
+                 v#a, object, null
+    Pair         -                   optional, the file  optional, the file
+    unique key   ID                  (ID, Aspect)        (ID, Aspect)
 
 Preprocessing applies four rules, in order, per record:
   a. drop quadruplets whose aspect is the implicit NULL marker;
@@ -104,28 +108,24 @@ def _number(value) -> float:
     raise ValueError(value)
 
 
-def parse_va(value) -> VAScore:
-    """Decode a VA wire value: "v#a" string or {Valence, Arousal} object,
-    each value in ASCII decimals (or, in an object, a JSON number).
+def parse_va(value, objects: bool = True) -> VAScore:
+    """Decode a VA wire value: the "v#a" string in ASCII decimals or, where
+    `objects`, a {Valence, Arousal} object of those or JSON numbers.
 
     Non-finite values (nan, inf) are rejected: they never compare below
     anything, so they would silently win a minimum search downstream.
     """
-    if isinstance(value, str):
-        head, sep, tail = value.partition("#")
-        if not sep:
-            raise ParseError(f"VA string lacks '#' separator: {value!r}")
-        try:
-            valence, arousal = _number(head), _number(tail)
-        except ValueError:
-            raise ParseError(f"unparseable VA string: {value!r}") from None
-    elif isinstance(value, dict):
+    if objects and isinstance(value, dict):
         try:
             valence, arousal = _number(value["Valence"]), _number(value["Arousal"])
         except (KeyError, OverflowError, ValueError):
             raise ParseError(f"unparseable VA object: {value!r}") from None
     else:
-        raise ParseError(f"unsupported VA value: {value!r}")
+        try:   # without '#', the arousal is "" and fails
+            valence, _, arousal = value.partition("#")
+            valence, arousal = _number(valence), _number(arousal)
+        except (AttributeError, ValueError):
+            raise ParseError(f"not a 'v#a' string: {value!r}") from None
     if not (math.isfinite(valence) and math.isfinite(arousal)):
         raise ParseError(f"non-finite VA value: {value!r}")
     return VAScore(valence, arousal)
@@ -221,7 +221,7 @@ def read_json(path):
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
-def record_error(path, index: int, field_name: str, detail: str) -> ParseError:
+def record_error(path, index: int | str, field_name: str, detail: str) -> ParseError:
     """One line naming the file, the record and the field at fault."""
     return ParseError(f"{path}: record {index}: field {field_name!r}: {detail}")
 
@@ -277,49 +277,103 @@ def check_fields(obj, error=ValueError) -> None:
             raise error(f"{must} one of {rules['choices']}, got {value!r}")
 
 
-def _parse_record(obj, index: int, pair: PairID, path) -> RawRecord:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: record {index}: not an object")
-    rec_id = obj.get("ID")
-    if not isinstance(rec_id, str):
-        raise record_error(path, index, "ID",
-                           "not a string" if "ID" in obj else "missing")
-    if not rec_id.strip():
-        raise record_error(path, index, "ID", "blank")
-    text = obj.get("Text")
-    if not isinstance(text, str):
-        raise record_error(path, index, "Text", "missing or not a string")
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("not a string")
+    return value
 
-    quads = []
-    raw_quads = obj.get("Quadruplets", [])
-    if not isinstance(raw_quads, list):
-        raise record_error(path, index, "Quadruplets", "not a list")
-    for qi, q in enumerate(raw_quads):
-        if not isinstance(q, dict):
-            raise record_error(path, index, "Quadruplets",
-                               f"entry {qi} is not an object")
-        aspect = q.get("Aspect")
-        if aspect is not None:
-            if not isinstance(aspect, str):
-                raise record_error(path, index, "Aspect",
-                                   f"not a string in entry {qi}")
-            if not aspect.strip():   # no token to encode
-                raise record_error(path, index, "Aspect", f"blank in entry {qi}")
-        va_raw = q.get("VA")
-        try:
-            va = parse_va(va_raw) if va_raw is not None else None
-        except ParseError as exc:
-            raise record_error(path, index, "VA", str(exc)) from None
-        quads.append(Quadruplet(aspect=aspect, va=va))
-    return RawRecord(id=rec_id, text=text, quadruplets=quads, pair=pair)
+
+def _nonblank(value) -> str:
+    if not _string(value).strip():
+        raise ValueError("blank")
+    return value
+
+
+def _va(value) -> VAScore:
+    return parse_va(value, objects=False)
+
+
+def _null_or(parse):
+    """`parse`, taking a JSON null as the field being absent."""
+    return lambda value: None if value is None else parse(value)
+
+
+class Field(NamedTuple):
+    """`parse` turns the value into the record's or raises a ValueError
+    naming the fault; a RecordKind `parse` takes a list of its entries."""
+
+    name: str
+    parse: object
+    required: bool = True
+
+
+class RecordKind(NamedTuple):
+    """Fields in the order `record` takes them, the fields no two records
+    may share values of, and whether a "Pair" must name the file's pair."""
+
+    fields: tuple[Field, ...]
+    record: type
+    key: tuple[str, ...] = ()
+    pair: bool = False
+
+
+_ID, _TEXT, _ASPECT = (Field("ID", _nonblank), Field("Text", _string),
+                       Field("Aspect", _nonblank))
+QUADRUPLET = RecordKind((Field("Aspect", _null_or(_nonblank), False),
+                         Field("VA", _null_or(parse_va), False)), Quadruplet)
+RAW = RecordKind((_ID, _TEXT, Field("Quadruplets", QUADRUPLET, False)), RawRecord,
+                 key=("ID",))
+INSTANCE = RecordKind((_ID, _TEXT, _ASPECT, Field("VA", _va, False)), Instance,
+                      key=("ID", "Aspect"), pair=True)
+PREDICTION = RecordKind((_ID, _ASPECT, Field("VA", _va)), Prediction,
+                        key=("ID", "Aspect"), pair=True)
+
+
+def walk(path, objs, kind: RecordKind, *extra, at: str = "") -> list:
+    """`kind.record(*field values, *extra)` per record of `objs`, read from
+    `path`; an absent optional field is None, or [] for entries.  The first
+    fault is a ParseError naming the path, the record (`record <i>: entry
+    <j>` for an entry) and the field; the same fault reads the same in
+    every kind."""
+    if not isinstance(objs, list):
+        raise ParseError(f"{path}: not a JSON array")
+    records, first_at, pair = [], {}, Path(path).stem
+    for i, obj in enumerate(objs):
+        where = f"{at}{i}"
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}: record {where}: not an object")
+        values = []
+        for name, parse, required in kind.fields:
+            if name not in obj:
+                if required:
+                    raise record_error(path, where, name, "missing")
+                values.append([] if isinstance(parse, RecordKind) else None)
+            elif isinstance(parse, RecordKind):
+                if not isinstance(obj[name], list):
+                    raise record_error(path, where, name, "not a list")
+                values.append(walk(path, obj[name], parse, at=f"{where}: entry "))
+            else:
+                try:
+                    values.append(parse(obj[name]))
+                except ValueError as exc:
+                    raise record_error(path, where, name, str(exc)) from None
+        if kind.pair and obj.get("Pair", pair) != pair:
+            raise record_error(path, where, "Pair", f"{obj['Pair']!r} in a file "
+                                                    f"named for {pair!r}")
+        key = tuple(obj[name] for name in kind.key)
+        if kind.key and first_at.setdefault(key, i) != i:
+            raise record_error(path, where, ", ".join(kind.key),
+                               f"duplicate key, first at record {first_at[key]}")
+        records.append(kind.record(*values, *extra))
+    return records
 
 
 def parse_quadruplet_file(path, pair: PairID) -> list[RawRecord]:
     """Parse one raw annotation file into RawRecords, preserving order.
 
     Accepts a JSON array of record objects or JSONL (one object per line).
-    An unreadable file or a malformed record raises ParseError naming the
-    file and, for a record, its index and field.
+    An unreadable file or a record `walk` rejects under RAW raises
+    ParseError naming the file and, for a record, its index and field.
     """
     raw = read_text(path)
     try:
@@ -329,14 +383,7 @@ def parse_quadruplet_file(path, pair: PairID) -> list[RawRecord]:
             objs = [json.loads(line) for line in raw.splitlines() if line.strip()]
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
-
-    records = [_parse_record(obj, i, pair, path) for i, obj in enumerate(objs)]
-    seen: set[str] = set()
-    for i, rec in enumerate(records):
-        if rec.id in seen:
-            raise record_error(path, i, "ID", f"duplicate id {rec.id!r}")
-        seen.add(rec.id)
-    return records
+    return walk(path, objs, RAW, pair)
 
 
 def preprocess(records: list[RawRecord]) -> tuple[list[Instance], PreprocessReport]:

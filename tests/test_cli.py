@@ -11,14 +11,15 @@ import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dimasr import cli, encoding, ensemble, trainer
-from dimasr.corpus import VA_MAX, VA_MIN, ParseError, parse_va
+from dimasr import cli, corpus, encoding, ensemble, trainer
+from dimasr.corpus import VA_MAX, VA_MIN, PairID, ParseError, parse_va
 from dimasr.encoding import EncoderSpec
 from dimasr.trainer import CHECKPOINT_MAGIC
 from synth import SYNTH_PAIRS, make_instances, write_raw_dir
@@ -100,8 +101,8 @@ def gold_with_duplicate(src: Path, dest: Path) -> str:
     path = dest / f"{SYNTH_PAIRS[0]}.json"
     rows = json.loads(path.read_text())
     path.write_text(json.dumps(rows + rows[:1]), encoding="utf-8")
-    return (f"error: {path}: record {len(rows)}: duplicate (ID, Aspect) key "
-            f"{(rows[0]['ID'], rows[0]['Aspect'])}, first at record 0")
+    return (f"error: {path}: record {len(rows)}: field 'ID, Aspect': duplicate "
+            f"key, first at record 0")
 
 
 def single_error_line(capsys) -> str:
@@ -506,9 +507,12 @@ class TestEvaluateStage:
         assert run(["evaluate", "--pred", str(pred_dir), "--gold", str(gold),
                     "--out", str(out)]) == 1
         err = single_error_line(capsys)
-        assert err.startswith(f"error: {bad}: ")
-        assert str(gold / bad.name) in err
-        assert f"{'missing' if damage == 'cut' else 'duplicate'} key {key}" in err
+        if damage == "cut":   # alignment names both files
+            assert err.startswith(f"error: {bad}: ")
+            assert str(gold / bad.name) in err and f"missing key {key}" in err
+        else:   # the file's own read refuses a repeated key
+            assert err == (f"error: {bad}: record {len(rows) - 1}: field 'ID, "
+                           f"Aspect': duplicate key, first at record {len(rows) - 2}")
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["ID", "Aspect", "VA"])
@@ -696,8 +700,8 @@ class TestEnsembleStage:
 
     def test_duplicate_in_first_test_member_names_file(self, pipeline, tmp_path,
                                                        capsys):
-        # The first member's test file is the test reference; its own
-        # alignment to its de-duplicated keys catches the repeat.
+        # The first member's test file is the test reference; reading it
+        # refuses the repeat.
         preds = tmp_path / "preds"
         shutil.copytree(pipeline / "preds", preds)
         path = preds / "test" / "M1" / f"{SYNTH_PAIRS[0]}.json"
@@ -895,8 +899,8 @@ class TestSubmitStage:
         out = tmp_path / "sub"
         assert run(["submit", "--pred", str(pred_dir), "--out", str(out)]) == 1
         assert single_error_line(capsys) == (
-            f"error: {bad}: record 2: duplicate (ID, Aspect) key "
-            f"('r0', 'x'), first at record 0")
+            f"error: {bad}: record 2: field 'ID, Aspect': duplicate key, "
+            f"first at record 0")
         assert not out.exists()
 
 
@@ -957,26 +961,81 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 unblank = st.text().filter(str.strip)   # a blank ID or Aspect is refused
 
 
+def _record_kinds():
+    """Two records per file kind, the first fault-free, and the reader of
+    each kind; raw records carry their VA in a quadruplet entry."""
+    row = {"ID": "r0", "Text": "t", "Aspect": "x", "VA": "5#5", "Pair": "aaa-res"}
+    return {
+        "raw": ({"ID": "r0", "Text": "t", "Quadruplets": [{"Aspect": "x", "VA": "5#5"}]},
+                lambda path: corpus.parse_quadruplet_file(path, PairID("aaa", "res"))),
+        "instance": (row, cli.load_instances),
+        "prediction": ({"ID": "r0", "Aspect": "x", "VA": "5#5"}, cli.load_predictions),
+        "gold": (row, lambda path: cli._check_gold({None: cli.load_predictions(path)})),
+    }
+
+
+class TestSameFaultSameLine:
+    """Every record file kind is read by one walk, so one fault gives one
+    line, `record 1: field 'X': <detail>`, in every kind that has the field."""
+
+    FAULTS = {   # field, the value it takes (None deletes it), the line's end
+        "record not an object": (None, 5, "not an object"),
+        "ID missing": ("ID", None, "field 'ID': missing"),
+        "ID not a string": ("ID", 7, "field 'ID': not a string"),
+        "ID blank": ("ID", " ", "field 'ID': blank"),
+        "VA without #": ("VA", "5.0", "field 'VA': not a 'v#a' string: '5.0'"),
+        "VA nan#5": ("VA", "nan#5", "field 'VA': non-finite VA value: 'nan#5'"),
+        "VA 5": ("VA", 5, "field 'VA': not a 'v#a' string: 5"),
+        "repeated key": ("ID", "r0", "duplicate key, first at record 0"),
+    }
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    @pytest.mark.parametrize("kind", ["raw", "instance", "prediction", "gold"])
+    def test_same_fault_gives_same_line(self, tmp_path, kind, fault):
+        record, read = _record_kinds()[kind]
+        field, value, end = self.FAULTS[fault]
+        second = {**json.loads(json.dumps(record)), "ID": "r1"}
+        holder = second["Quadruplets"][0] if kind == "raw" and field == "VA" else second
+        entry = ": entry 0" if holder is not second else ""
+        if field is None:
+            second = value
+        elif value is None:
+            del holder[field]
+        else:
+            holder[field] = value
+        if fault == "repeated key":   # the key is ID in raw files, else (ID, Aspect)
+            end = f"field {'ID' if kind == 'raw' else 'ID, Aspect'!r}: {end}"
+        path = tmp_path / "aaa-res.json"
+        path.write_text(json.dumps([record, second]), encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: record 1{entry}: {end}"
+
+
 class TestPredictionFiles:
     @settings(max_examples=100, deadline=None)
     @given(records=st.lists(st.tuples(unblank, unblank, finite, finite),
-                            max_size=20))
+                            max_size=20, unique_by=lambda r: r[:2]))
     def test_write_then_load_round_trips(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("rt") / "aaa-res.json"
         keys = [(rid, aspect) for rid, aspect, _, _ in records]
         rows = [(v, a) for _, _, v, a in records]
         cli.write_predictions(path, keys, rows)
         got = cli.load_predictions(path)
-        assert got.keys == keys and got.source == str(path)
-        assert all(type(row) is tuple and len(row) == 2 for row in got.values)
-        assert [tuple(map(float.hex, row)) for row in got.values] == \
-               [tuple(map(float.hex, row)) for row in rows]
+        # The record walk is the reference the one-pass read must equal.
+        with mock.patch.object(cli, "_fast_columns", lambda rows, pair: None):
+            walked = cli.load_predictions(path)
+        for cols in (got, walked):
+            assert cols.keys == keys and cols.source == str(path)
+            assert all(type(row) is tuple and len(row) == 2 for row in cols.values)
+            assert [tuple(map(float.hex, row)) for row in cols.values] == \
+                   [tuple(map(float.hex, row)) for row in rows]
 
     @pytest.mark.parametrize("va, detail", [
         ("5.0", "not a 'v#a' string: '5.0'"),
         ("5.0#x", "not a 'v#a' string: '5.0#x'"),
         (7.5, "not a 'v#a' string: 7.5"),
-        ("5.0#inf", "non-finite VA value '5.0#inf'"),
+        ("5.0#inf", "non-finite VA value: '5.0#inf'"),
     ])
     def test_bad_va_names_record_and_field(self, tmp_path, va, detail):
         path = tmp_path / "aaa-res.json"

@@ -81,13 +81,15 @@ class TestVAWire:
         with pytest.raises(ParseError, match="x#y"):
             parse_va("x#y")
 
-    @pytest.mark.parametrize("value", [
-        "5_0#5", " 6.5 # \u0665 ", "6.5#\u0665", "\uff15#5", "5#5#5",
-        {"Valence": True, "Arousal": 5.0}, {"Valence": "5_0", "Arousal": 5.0},
-        {"Valence": [5.0], "Arousal": 5.0}, {"Valence": 10**400, "Arousal": 5.0},
+    @pytest.mark.parametrize("value, detail", [
+        *((text, "not a 'v#a' string") for text in
+          ("5_0#5", " 6.5 # \u0665 ", "6.5#\u0665", "\uff15#5", "5#5#5")),
+        *((obj, "unparseable VA object") for obj in
+          ({"Valence": True, "Arousal": 5.0}, {"Valence": "5_0", "Arousal": 5.0},
+           {"Valence": [5.0], "Arousal": 5.0}, {"Valence": 10**400, "Arousal": 5.0})),
     ])
-    def test_only_ascii_decimals_and_json_numbers(self, value):
-        with pytest.raises(ParseError, match="unparseable VA"):
+    def test_only_ascii_decimals_and_json_numbers(self, value, detail):
+        with pytest.raises(ParseError, match=detail):
             parse_va(value)
 
     def test_signs_exponents_and_json_numbers_accepted(self):
@@ -164,13 +166,14 @@ class TestParseFile:
     def test_duplicate_id_rejected(self, tmp_path):
         rows = [{"ID": "a", "Text": "t", "Quadruplets": []},
                 {"ID": "a", "Text": "u", "Quadruplets": []}]
-        with pytest.raises(ParseError, match="duplicate id"):
+        with pytest.raises(ParseError, match=r"record 1: field 'ID': duplicate key, "
+                                             r"first at record 0$"):
             parse_quadruplet_file(self.write(tmp_path, rows), PAIR)
 
     def test_blank_aspect_names_record_and_field(self, tmp_path):
         rows = [{"ID": "a", "Text": "t",
                  "Quadruplets": [{"Aspect": "x"}, {"Aspect": " \n"}]}]
-        with pytest.raises(ParseError, match=r"record 0: field 'Aspect': blank in entry 1"):
+        with pytest.raises(ParseError, match=r"record 0: entry 1: field 'Aspect': blank$"):
             parse_quadruplet_file(self.write(tmp_path, rows), PAIR)
 
     def test_blank_id_names_record_and_field(self, tmp_path):

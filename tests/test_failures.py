@@ -314,6 +314,33 @@ ROWS = {
         ["train", "--data", "{root}/insts", "--config", "{root}/nest-config/run/one.json",
          "--out", "{root}/nest-config"],
         ["--config {root}/nest-config/run/one.json", "--out {root}/nest-config"]),
+    "train instance record not an object": (
+        ["train", "--data", "{root}/int-record", "--config", "{root}/one.json"],
+        [f"{{root}}/int-record/{SYNTH_PAIRS[0]}.json", "record 1: not an object"]),
+    "submit prediction record not an object": (
+        ["submit", "--pred", "{root}/int-record-preds"],
+        [f"{{root}}/int-record-preds/{SYNTH_PAIRS[0]}.json",
+         "record 1: not an object"]),
+    "preprocess raw record not an object": (
+        ["preprocess", "--input", "{root}/int-record-raw"],
+        [f"{{root}}/int-record-raw/{SYNTH_PAIRS[0]}.json", "record 1: not an object"]),
+    "preprocess raw Quadruplets an object": (
+        ["preprocess", "--input", "{root}/object-quads-raw"],
+        [f"{{root}}/object-quads-raw/{SYNTH_PAIRS[0]}.json",
+         "record 1: field 'Quadruplets': not a list"]),
+    "preprocess raw quadruplet not an object": (
+        ["preprocess", "--input", "{root}/int-quad-raw"],
+        [f"{{root}}/int-quad-raw/{SYNTH_PAIRS[0]}.json",
+         "record 1: entry 0: not an object"]),
+    "preprocess raw JSONL line not JSON": (
+        ["preprocess", "--input", "{root}/cut-jsonl-raw"],
+        [f"{{root}}/cut-jsonl-raw/{SYNTH_PAIRS[0]}.json", "invalid JSON"]),
+    "predict --ckpts without checkpoint files": (
+        ["predict", "--ckpts", "{root}/insts", "--data", "{root}/insts"],
+        ["{root}/insts: no checkpoint files"]),
+    "predict checkpoint header not JSON": (
+        ["predict", "--ckpts", "{root}/ckpt-garbled", "--data", "{root}/insts"],
+        ["{root}/ckpt-garbled/M1.ckpt", "unreadable checkpoint header"]),
     "ensemble test average 1.5e308#5.0": (
         ["ensemble", "--dev-preds", "{root}/big-pool/dev", "--test-preds",
          "{root}/big-pool/test", "--dev-gold", "{root}/insts"],
@@ -372,6 +399,14 @@ def set_field(field, value, index=1):
     return change
 
 
+def set_record(value, index=1):
+    """A `rewrite` change that replaces record `index` with `value`."""
+    def change(rows):
+        rows[index] = value
+        return rows
+    return change
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("inputs")
@@ -422,7 +457,8 @@ def inputs(tmp_path_factory):
                          ("blank-id", set_field("ID", " \t")),
                          ("empty-aspect", set_field("Aspect", "")),
                          ("object-va", set_field("VA", {"Valence": 6.0,
-                                                        "Arousal": 5.0}))):
+                                                        "Arousal": 5.0})),
+                         ("int-record", set_record(5))):
         rewrite(root / "insts", root / name, change)
     long_aspect = set_field("Aspect", " ".join(["word"] * 200))
     rewrite(root / "insts", root / "long-aspect", long_aspect)
@@ -430,6 +466,7 @@ def inputs(tmp_path_factory):
     rewrite(root / "preds/M1", root / "int-id-preds", set_field("ID", 5))
     rewrite(root / "preds/M1", root / "blank-id-preds", set_field("ID", " "))
     rewrite(root / "preds/M1", root / "empty-aspect-preds", set_field("Aspect", ""))
+    rewrite(root / "preds/M1", root / "int-record-preds", set_record(5))
     rewrite(root / "preds/M1", root / "object-preds", lambda rows: rows[0])
     rewrite(root / "insts", root / "object-gold", lambda rows: rows[0])
     rewrite(root / "insts", root / "empty-gold", lambda rows: [])
@@ -491,6 +528,9 @@ def inputs(tmp_path_factory):
                          ("ckpt-epoch-late", set_key("epoch_of_best", value=2)),
                          ("ckpt-eps-str", set_key("optimizer", "eps", value="x"))):
         edit_checkpoint(root / "ckpts", root / name, change)
+    shutil.copytree(root / "ckpts", root / "ckpt-garbled")
+    garbled = root / "ckpt-garbled/M1.ckpt"
+    garbled.write_bytes(b"{not json" + garbled.read_bytes())
     shutil.copytree(root / "ckpts", root / "ckpt-copied")
     shutil.copy(root / "ckpt-copied/M1.ckpt", root / "ckpt-copied/M2.ckpt")
 
@@ -505,6 +545,14 @@ def inputs(tmp_path_factory):
             raw_quad("VA", {"Valence": True, "Arousal": 5.0}))
     rewrite(root / "raw", root / "int-id-raw", set_field("ID", 7))
     rewrite(root / "raw", root / "blank-id-raw", set_field("ID", "  "))
+    rewrite(root / "raw", root / "int-record-raw", set_record(5))
+    rewrite(root / "raw", root / "object-quads-raw", set_field("Quadruplets", {}))
+    rewrite(root / "raw", root / "int-quad-raw", set_field("Quadruplets", [5]))
+    shutil.copytree(root / "raw", root / "cut-jsonl-raw")
+    cut_jsonl = root / "cut-jsonl-raw" / f"{SYNTH_PAIRS[0]}.json"
+    lines = [json.dumps(row) for row in json.loads(cut_jsonl.read_text(encoding="utf-8"))]
+    lines[1] = lines[1][:len(lines[1]) // 2]
+    cut_jsonl.write_text("\n".join(lines), encoding="utf-8")
     return root
 
 
